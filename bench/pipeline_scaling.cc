@@ -4,7 +4,8 @@
  *
  * For each generated corpus size, runs reconstruct() at worker counts
  * {1, 2, 4, 8} and emits one machine-readable JSON line per run with
- * the per-stage StageTiming profile, per-stage speedups, and the
+ * the per-stage profile (the run's "pipeline.<stage>" span wall
+ * times, obs/trace.h), per-stage speedups, and the
  * total speedup against the serial run of the same corpus -- the
  * repo's BENCH_*.json perf trajectory consumes these lines verbatim:
  *
@@ -31,6 +32,7 @@
  */
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -42,7 +44,9 @@
 
 #include "corpus/generator.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "rock/pipeline.h"
+#include "support/str.h"
 #include "toyc/compiler.h"
 
 namespace {
@@ -76,6 +80,28 @@ double
 ratio(double serial, double self)
 {
     return self > 0.0 ? serial / self : 0.0;
+}
+
+/** Per-span-name wall ms of one reconstruct() call. */
+using StageSpans = std::map<std::string, double>;
+
+/** Wall ms of stage @p stage ("reconstruct" = the whole call). */
+double
+stage_ms(const StageSpans& spans, const char* stage)
+{
+    auto it = spans.find(std::string("pipeline.") + stage);
+    return it == spans.end() ? 0.0 : it->second;
+}
+
+/** Run reconstruct() and return its result and its span profile. */
+std::pair<rock::core::ReconstructionResult, StageSpans>
+timed_reconstruct(const rock::bir::BinaryImage& image,
+                  const rock::core::RockConfig& config)
+{
+    const auto before = rock::obs::span_wall_totals();
+    rock::core::ReconstructionResult result =
+        rock::core::reconstruct(image, config);
+    return {std::move(result), rock::obs::span_wall_since(before)};
 }
 
 } // namespace
@@ -129,7 +155,7 @@ main(int argc, char** argv)
         toyc::CompileResult compiled =
             toyc::compile(corpus::generate_program(spec));
 
-        core::StageTiming serial;
+        StageSpans serial;
         std::string serial_forest;
         std::vector<std::pair<std::pair<int, int>, double>>
             serial_distances;
@@ -144,15 +170,15 @@ main(int argc, char** argv)
 
             // Warmup (untimed), then best-of-N; the determinism check
             // covers every run, not just the kept one.
-            core::ReconstructionResult result =
-                core::reconstruct(compiled.image, config);
-            core::StageTiming best = result.timing;
+            auto [result, best] =
+                timed_reconstruct(compiled.image, config);
             bool identical = true;
             for (int rep = 0; rep < kRepeats; ++rep) {
-                core::ReconstructionResult r =
-                    core::reconstruct(compiled.image, config);
-                if (r.timing.total_ms < best.total_ms)
-                    best = r.timing;
+                auto [r, spans] =
+                    timed_reconstruct(compiled.image, config);
+                if (stage_ms(spans, "reconstruct") <
+                    stage_ms(best, "reconstruct"))
+                    best = std::move(spans);
                 identical =
                     identical &&
                     r.hierarchy.to_string() ==
@@ -170,35 +196,31 @@ main(int argc, char** argv)
                         result.sorted_distances() == serial_distances;
             all_identical = all_identical && identical;
 
-            const core::StageTiming& t = best;
+            std::string columns;
+            for (const char* stage :
+                 {"cfg", "verify", "analyze", "structural", "typeinf",
+                  "train", "distances", "arborescence"})
+                columns += support::format("\"%s_ms\":%.3f,", stage,
+                                           stage_ms(best, stage));
+            columns += support::format(
+                "\"total_ms\":%.3f,", stage_ms(best, "reconstruct"));
+            for (const char* stage : {"cfg", "verify", "analyze", "train",
+                                      "distances", "arborescence"})
+                columns += support::format(
+                    "\"%s_speedup\":%.3f,", stage,
+                    ratio(stage_ms(serial, stage), stage_ms(best, stage)));
             std::printf(
                 "{\"bench\":\"pipeline_scaling\",\"classes\":%d,"
                 "\"functions\":%zu,\"types\":%zu,\"threads\":%d,"
-                "\"hw_threads\":%u,"
-                "\"cfg_ms\":%.3f,\"verify_ms\":%.3f,"
-                "\"analyze_ms\":%.3f,\"structural_ms\":%.3f,"
-                "\"typeinf_ms\":%.3f,"
-                "\"train_ms\":%.3f,\"distances_ms\":%.3f,"
-                "\"arborescence_ms\":%.3f,\"total_ms\":%.3f,"
-                "\"cfg_speedup\":%.3f,\"verify_speedup\":%.3f,"
-                "\"analyze_speedup\":%.3f,\"train_speedup\":%.3f,"
-                "\"distances_speedup\":%.3f,"
-                "\"arborescence_speedup\":%.3f,"
+                "\"hw_threads\":%u,%s"
                 "\"speedup_vs_serial\":%.3f,"
                 "\"identical_to_serial\":%s,"
                 "\"underprovisioned\":%s}\n",
                 classes, compiled.image.functions.size(),
-                result.structural.types.size(), threads, hw, t.cfg_ms,
-                t.verify_ms, t.analyze_ms, t.structural_ms,
-                t.typeinf_ms, t.train_ms,
-                t.distances_ms, t.arborescence_ms, t.total_ms,
-                ratio(serial.cfg_ms, t.cfg_ms),
-                ratio(serial.verify_ms, t.verify_ms),
-                ratio(serial.analyze_ms, t.analyze_ms),
-                ratio(serial.train_ms, t.train_ms),
-                ratio(serial.distances_ms, t.distances_ms),
-                ratio(serial.arborescence_ms, t.arborescence_ms),
-                ratio(serial.total_ms, t.total_ms),
+                result.structural.types.size(), threads, hw,
+                columns.c_str(),
+                ratio(stage_ms(serial, "reconstruct"),
+                      stage_ms(best, "reconstruct")),
                 identical ? "true" : "false",
                 underprovisioned ? "true" : "false");
             std::fflush(stdout);

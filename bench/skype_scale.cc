@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,7 +55,9 @@
 #include "cache/artifact_cache.h"
 #include "corpus/generator.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "rock/pipeline.h"
+#include "support/str.h"
 #include "toyc/compiler.h"
 
 namespace {
@@ -71,6 +74,42 @@ parse_threads(const std::string& csv)
         out.push_back(std::atoi(csv.substr(pos, comma - pos).c_str()));
         pos = comma + 1;
     }
+    return out;
+}
+
+/** Pipeline stages, in the order both output formats list them. */
+constexpr const char* kStages[] = {"cfg",       "verify", "analyze",
+                                   "structural", "typeinf", "train",
+                                   "distances", "arborescence"};
+
+/** Wall ms of stage @p stage in a span_wall_since() map. */
+double
+stage_ms(const std::map<std::string, double>& spans, const char* stage)
+{
+    auto it = spans.find(std::string("pipeline.") + stage);
+    return it == spans.end() ? 0.0 : it->second;
+}
+
+/** Human-readable "cfg 1.0, verify 2.0, ..." stage list. */
+std::string
+stage_summary(const std::map<std::string, double>& spans)
+{
+    std::string out;
+    for (const char* stage : kStages)
+        out += rock::support::format("%s%s %.1f",
+                                     out.empty() ? "" : ", ", stage,
+                                     stage_ms(spans, stage));
+    return out;
+}
+
+/** JSONL stage columns: "cfg_ms":1.000,...,"arborescence_ms":2.000, */
+std::string
+stage_columns(const std::map<std::string, double>& spans)
+{
+    std::string out;
+    for (const char* stage : kStages)
+        out += rock::support::format("\"%s_ms\":%.3f,", stage,
+                                     stage_ms(spans, stage));
     return out;
 }
 
@@ -179,14 +218,16 @@ main(int argc, char** argv)
     for (int threads : thread_counts) {
         core::RockConfig config;
         config.threads = threads;
+        const auto spans_before = obs::span_wall_totals();
         t0 = clock::now();
         core::ReconstructionResult result =
             core::reconstruct(compiled.image, config);
         double reconstruct_ms = ms_since(t0);
-        const core::StageTiming& t = result.timing;
+        const auto spans = obs::span_wall_since(spans_before);
+        const double total_ms = stage_ms(spans, "reconstruct");
 
         if (threads == 1) {
-            serial_ms = t.total_ms;
+            serial_ms = total_ms;
             serial_forest = result.hierarchy.to_string();
         }
         bool identical =
@@ -194,13 +235,8 @@ main(int argc, char** argv)
             result.hierarchy.to_string() == serial_forest;
         all_identical = all_identical && identical;
 
-        std::printf("  reconstruct[threads=%d]: %.1f ms "
-                    "(cfg %.1f, verify %.1f, analyze %.1f, "
-                    "structural %.1f, typeinf %.1f, train %.1f, "
-                    "distances %.1f, arborescence %.1f)\n",
-                    threads, reconstruct_ms, t.cfg_ms, t.verify_ms,
-                    t.analyze_ms, t.structural_ms, t.typeinf_ms,
-                    t.train_ms, t.distances_ms, t.arborescence_ms);
+        std::printf("  reconstruct[threads=%d]: %.1f ms (%s)\n", threads,
+                    reconstruct_ms, stage_summary(spans).c_str());
         std::printf("  types: %zu, families: %d (%d behaviorally "
                     "resolved), forced parents: %zu, paths: %ld, "
                     "distances: %zu\n",
@@ -220,21 +256,15 @@ main(int argc, char** argv)
             line, sizeof(line),
             "{\"bench\":\"skype_scale\",\"classes\":%d,"
             "\"functions\":%zu,\"types\":%zu,\"threads\":%d,"
-            "\"hw_threads\":%u,"
-            "\"cfg_ms\":%.3f,\"verify_ms\":%.3f,\"analyze_ms\":%.3f,"
-            "\"structural_ms\":%.3f,\"typeinf_ms\":%.3f,"
-            "\"train_ms\":%.3f,"
-            "\"distances_ms\":%.3f,\"arborescence_ms\":%.3f,"
+            "\"hw_threads\":%u,%s"
             "\"total_ms\":%.3f,\"speedup_vs_serial\":%.3f,"
             "\"identical_to_serial\":%s,"
             "\"underprovisioned\":%s}\n",
             classes, compiled.image.functions.size(),
-            result.structural.types.size(), threads, hw, t.cfg_ms,
-            t.verify_ms, t.analyze_ms, t.structural_ms, t.typeinf_ms,
-            t.train_ms, t.distances_ms, t.arborescence_ms, t.total_ms,
-            serial_ms > 0.0 && t.total_ms > 0.0
-                ? serial_ms / t.total_ms
-                : 1.0,
+            result.structural.types.size(), threads, hw,
+            stage_columns(spans).c_str(), total_ms,
+            serial_ms > 0.0 && total_ms > 0.0 ? serial_ms / total_ms
+                                              : 1.0,
             identical ? "true" : "false",
             underprovisioned ? "true" : "false");
         if (json)
@@ -260,16 +290,18 @@ main(int argc, char** argv)
             config.threads = 1;
             config.cache = store;
             std::uint64_t hits_before = store->stats().hits;
+            const auto spans_before = obs::span_wall_totals();
             t0 = clock::now();
             core::ReconstructionResult result =
                 core::reconstruct(compiled.image, config);
             double run_ms = ms_since(t0);
             std::uint64_t run_hits = store->stats().hits - hits_before;
-            const core::StageTiming& t = result.timing;
+            const auto spans = obs::span_wall_since(spans_before);
+            const double total_ms = stage_ms(spans, "reconstruct");
 
             const bool warm = run > 0;
             if (!warm) {
-                cold_ms = t.total_ms;
+                cold_ms = total_ms;
                 cold_forest = result.hierarchy.to_string();
             }
             bool identical =
@@ -281,15 +313,9 @@ main(int argc, char** argv)
                               result.structural.types.size());
 
             std::printf(
-                "  %s[run=%d]: %.1f ms "
-                "(cfg %.1f, verify %.1f, analyze %.1f, "
-                "structural %.1f, typeinf %.1f, train %.1f, "
-                "distances %.1f, arborescence %.1f), "
-                "cache hits: %llu%s\n",
-                warm ? "warm" : "cold", run, run_ms, t.cfg_ms,
-                t.verify_ms, t.analyze_ms, t.structural_ms,
-                t.typeinf_ms, t.train_ms, t.distances_ms,
-                t.arborescence_ms,
+                "  %s[run=%d]: %.1f ms (%s), cache hits: %llu%s\n",
+                warm ? "warm" : "cold", run, run_ms,
+                stage_summary(spans).c_str(),
                 static_cast<unsigned long long>(run_hits),
                 warm && !identical ? " [HIERARCHY MISMATCH]" : "");
 
@@ -299,23 +325,16 @@ main(int argc, char** argv)
                 "{\"bench\":\"skype_scale\",\"classes\":%d,"
                 "\"functions\":%zu,\"types\":%zu,\"threads\":1,"
                 "\"hw_threads\":%u,\"run\":%d,\"warm\":%s,"
-                "\"cold_ms\":%.3f,"
-                "\"cfg_ms\":%.3f,\"verify_ms\":%.3f,"
-                "\"analyze_ms\":%.3f,"
-                "\"structural_ms\":%.3f,\"typeinf_ms\":%.3f,"
-                "\"train_ms\":%.3f,"
-                "\"distances_ms\":%.3f,\"arborescence_ms\":%.3f,"
+                "\"cold_ms\":%.3f,%s"
                 "\"total_ms\":%.3f,\"warm_speedup\":%.3f,"
                 "\"cache_hits\":%llu,\"identical_to_cold\":%s,"
                 "\"underprovisioned\":%s}\n",
                 classes, compiled.image.functions.size(),
                 result.structural.types.size(), hw, run,
-                warm ? "true" : "false", cold_ms, t.cfg_ms,
-                t.verify_ms, t.analyze_ms, t.structural_ms,
-                t.typeinf_ms, t.train_ms, t.distances_ms,
-                t.arborescence_ms, t.total_ms,
-                warm && cold_ms > 0.0 && t.total_ms > 0.0
-                    ? cold_ms / t.total_ms
+                warm ? "true" : "false", cold_ms,
+                stage_columns(spans).c_str(), total_ms,
+                warm && cold_ms > 0.0 && total_ms > 0.0
+                    ? cold_ms / total_ms
                     : 1.0,
                 static_cast<unsigned long long>(run_hits),
                 identical ? "true" : "false",

@@ -84,10 +84,8 @@ encode_function_analysis(const FunctionAnalysis& fa,
 }
 
 bool
-decode_function_analysis(const std::vector<std::uint8_t>& blob,
-                         FunctionAnalysis& fa)
+decode_function_analysis(cache::ByteReader& r, FunctionAnalysis& fa)
 {
-    cache::ByteReader r(blob);
     fa = FunctionAnalysis{};
     fa.paths = r.i32();
     std::uint32_t num_types = r.u32();
@@ -188,15 +186,16 @@ cached_run(cache::ArtifactCache* artifacts, std::uint64_t body_hash,
     content = cache::mix(content, addr);
     content = cache::mix(content, static_cast<std::uint64_t>(phase));
     cache::ArtifactKey key{"symexec", content, fp};
-    std::vector<std::uint8_t> blob;
     FunctionAnalysis fa;
-    if (artifacts->get(key, blob) &&
-        decode_function_analysis(blob, fa))
+    if (artifacts->probe(key, [&](cache::ByteReader& in) {
+            return decode_function_analysis(in, fa);
+        }))
         return fa;
+    obs::CounterCapture capture;
     fa = run();
     cache::ByteWriter w;
     encode_function_analysis(fa, w);
-    artifacts->put(key, w.take());
+    artifacts->store(key, w, capture.deltas());
     return fa;
 }
 

@@ -102,6 +102,56 @@ decode_entry(const std::vector<std::uint8_t>& raw,
     return true;
 }
 
+/**
+ * Split a store()d blob into its payload and its counter trailer:
+ * u64 payload length, payload, u32 count, then per counter a u32
+ * name length, the name bytes and a u64 delta. False on any
+ * inconsistency.
+ */
+bool
+unframe(const std::vector<std::uint8_t>& blob, std::size_t* payload_len,
+        obs::CounterDeltas* deltas)
+{
+    ByteReader in(blob);
+    const std::uint64_t len = in.u64();
+    if (!in.ok() || len > in.remaining())
+        return false;
+    *payload_len = static_cast<std::size_t>(len);
+    ByteReader trailer(blob.data() + 8 + len, in.remaining() - len);
+    const std::uint32_t count = trailer.u32();
+    for (std::uint32_t i = 0; i < count && trailer.ok(); ++i) {
+        const std::uint32_t name_len = trailer.u32();
+        if (!trailer.ok() || name_len > trailer.remaining())
+            return false;
+        std::string name(name_len, '\0');
+        for (char& c : name)
+            c = static_cast<char>(trailer.u8());
+        (*deltas)[name] += trailer.u64();
+    }
+    return trailer.at_end();
+}
+
+std::vector<std::uint8_t>
+frame(const std::uint8_t* payload, std::size_t len,
+      const obs::CounterDeltas& deltas)
+{
+    ByteWriter head;
+    head.u64(len);
+    ByteWriter trailer;
+    trailer.u32(static_cast<std::uint32_t>(deltas.size()));
+    for (const auto& [name, n] : deltas) {
+        trailer.u32(static_cast<std::uint32_t>(name.size()));
+        for (char c : name)
+            trailer.u8(static_cast<std::uint8_t>(c));
+        trailer.u64(n);
+    }
+    std::vector<std::uint8_t> out = head.take();
+    out.insert(out.end(), payload, payload + len);
+    out.insert(out.end(), trailer.bytes().begin(),
+               trailer.bytes().end());
+    return out;
+}
+
 bool
 slurp_file(const std::string& path, std::vector<std::uint8_t>& out)
 {
@@ -188,6 +238,30 @@ ArtifactCache::put(const ArtifactKey& key,
     }
     if (!options_.dir.empty())
         write_disk(key, blob);
+}
+
+bool
+ArtifactCache::probe(const ArtifactKey& key,
+                     const std::function<bool(ByteReader&)>& decode)
+{
+    std::vector<std::uint8_t> blob;
+    std::size_t len = 0;
+    obs::CounterDeltas deltas;
+    if (!get(key, blob) || !unframe(blob, &len, &deltas))
+        return false;
+    ByteReader payload(blob.data() + 8, len);
+    if (!decode(payload))
+        return false;
+    obs::replay(deltas);
+    return true;
+}
+
+void
+ArtifactCache::store(const ArtifactKey& key, const ByteWriter& payload,
+                     const obs::CounterDeltas& captured)
+{
+    put(key, frame(payload.bytes().data(), payload.bytes().size(),
+                   captured));
 }
 
 void
@@ -361,6 +435,31 @@ ArtifactCache::corrupt_for_testing(const ArtifactKey& key,
             std::fclose(f);
         }
     }
+}
+
+void
+ArtifactCache::forge_payload_for_testing(
+    const ArtifactKey& key,
+    const std::function<bool(ByteReader&, ByteWriter&)>& forge)
+{
+    std::vector<std::uint8_t> blob;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = entries_.find(key);
+        if (it == entries_.end())
+            return;
+        blob = it->second.blob;
+    }
+    std::size_t len = 0;
+    obs::CounterDeltas deltas;
+    if (!unframe(blob, &len, &deltas))
+        return;
+    ByteReader old_payload(blob.data() + 8, len);
+    ByteWriter forged;
+    if (!forge(old_payload, forged))
+        return;
+    corrupt_for_testing(key, frame(forged.bytes().data(),
+                                   forged.bytes().size(), deltas));
 }
 
 namespace {

@@ -30,6 +30,14 @@
  * (and never crashes). Writes go through a temp file + rename so
  * readers only ever see complete entries.
  *
+ * Stages never touch the raw get()/put() tier directly: they go
+ * through one protocol, probe() then store(). A stage computes its
+ * artifact inside an obs::CounterCapture and store()s the payload
+ * together with the captured counter increments (a trailer, by
+ * counter name); probe() decodes a hit and replays that trailer. So
+ * a warm run ticks every counter exactly as its cold run did, and no
+ * stage needs to know which counters it bumps.
+ *
  * Counters (docs/OBSERVABILITY.md): cache.hits, cache.misses,
  * cache.bytes (payload bytes inserted, monotonic), cache.evictions.
  * All under the `cache.` prefix, which the warm-consistency contract
@@ -40,6 +48,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -47,11 +56,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace rock::cache {
 
 /** Bump whenever any artifact encoding changes shape; every key's
  *  fingerprint folds this in, so old entries become misses. */
-constexpr std::uint32_t kSchemaVersion = 1;
+constexpr std::uint32_t kSchemaVersion = 2;
 
 /** FNV-1a offset basis (the seed of every content hash here). */
 constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;
@@ -255,6 +266,21 @@ class ArtifactCache {
      *  tier still serves the entry). */
     void put(const ArtifactKey& key, std::vector<std::uint8_t> blob);
 
+    /**
+     * Probe for a stage artifact written by store(). On a hit whose
+     * framing and counter trailer are intact and whose payload
+     * @p decode accepts, replay the trailer's counter increments
+     * (obs::replay) and return true. Anything else is a miss.
+     */
+    bool probe(const ArtifactKey& key,
+               const std::function<bool(ByteReader&)>& decode);
+
+    /** Store a stage artifact: @p payload plus @p captured, the
+     *  counter increments computing it made (an obs::CounterCapture's
+     *  deltas()). First-wins, like put(). */
+    void store(const ArtifactKey& key, const ByteWriter& payload,
+               const obs::CounterDeltas& captured);
+
     const CacheOptions& options() const { return options_; }
 
     /** Process-local totals (this cache instance only). */
@@ -273,6 +299,17 @@ class ArtifactCache {
      */
     void corrupt_for_testing(const ArtifactKey& key,
                              std::vector<std::uint8_t> blob);
+
+    /**
+     * TESTING/FAULT-INJECTION ONLY: corrupt_for_testing() for a
+     * resident store()d artifact. @p forge reads the old payload and
+     * writes a replacement (false = leave the entry alone); the
+     * counter trailer is kept, so probe() serves the forgery as a
+     * hit.
+     */
+    void forge_payload_for_testing(
+        const ArtifactKey& key,
+        const std::function<bool(ByteReader&, ByteWriter&)>& forge);
 
   private:
     struct Entry {

@@ -95,18 +95,6 @@ js_distance(const slm::LanguageModel& a, const slm::LanguageModel& b,
     return std::sqrt(js_divergence(a, b, words));
 }
 
-namespace {
-
-thread_local PairTally tls_pair_tally;
-
-} // namespace
-
-PairTally
-thread_pair_tally()
-{
-    return tls_pair_tally;
-}
-
 double
 pair_distance(MetricKind kind, const slm::LanguageModel& parent,
               const slm::LanguageModel& child, const WordSet& words)
@@ -120,8 +108,6 @@ pair_distance(MetricKind kind, const slm::LanguageModel& parent,
             obs::Registry::global().counter("divergence.words");
         pairs.add();
         word_count.add(words.size());
-        tls_pair_tally.pairs += 1;
-        tls_pair_tally.words += words.size();
     }
     switch (kind) {
       case MetricKind::KL:

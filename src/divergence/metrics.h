@@ -24,22 +24,6 @@
 
 namespace rock::divergence {
 
-/**
- * Per-thread running totals mirroring the `divergence.pairs` /
- * `divergence.words` counters. Bumped even when metrics are disabled:
- * the warm-cache pipeline (src/cache/) snapshots deltas of these
- * tallies around distance computation and stores them with the cached
- * distances, so a warm run replays the exact counter increments of a
- * cold run regardless of either run's metrics setting.
- */
-struct PairTally {
-    std::uint64_t pairs = 0;
-    std::uint64_t words = 0;
-};
-
-/** Monotone tallies of pair_distance() work done on this thread. */
-PairTally thread_pair_tally();
-
 /** Selectable pairwise metrics. */
 enum class MetricKind {
     /** DKL(first || second) -- the paper's choice. */

@@ -8,6 +8,7 @@
 #include "divergence/metrics.h"
 #include "eval/ground_truth.h"
 #include "graph/enumerate.h"
+#include "obs/trace.h"
 #include "rock/pipeline.h"
 #include "rock/relaxed.h"
 #include "support/parallel.h"
@@ -136,15 +137,17 @@ run_scalability()
             toyc::compile(corpus::generate_program(spec));
         core::RockConfig config;
         config.threads = 0; // all hardware threads
+        const auto spans_before = obs::span_wall_totals();
         core::ReconstructionResult result =
             core::reconstruct(compiled.image, config);
+        auto stage_ms = obs::span_wall_since(spans_before);
         ScalePoint point;
         point.classes = classes;
         point.functions = compiled.image.functions.size();
         point.paths = result.analysis.total_paths;
-        point.analyze_ms = result.timing.analyze_ms;
+        point.analyze_ms = stage_ms["pipeline.analyze"];
+        point.total_ms = stage_ms["pipeline.reconstruct"];
         point.threads = support::resolve_threads(config.threads);
-        point.timing = result.timing;
         points.push_back(point);
     }
     return points;
@@ -340,7 +343,7 @@ experiments_markdown()
                       point.analyze_ms,
                       point.analyze_ms * 1000.0 /
                           static_cast<double>(point.functions),
-                      point.timing.total_ms);
+                      point.total_ms);
     }
     out << "\nIntra-procedural analysis: per-function cost stays "
            "flat as programs grow. (Timings are machine-dependent; "

@@ -61,12 +61,12 @@ struct ScalePoint {
     int classes = 0;
     std::size_t functions = 0;
     long paths = 0;
-    /** Analysis stage alone (== timing.analyze_ms). */
+    /** Analysis stage alone (the "pipeline.analyze" span). */
     double analyze_ms = 0.0;
+    /** Whole reconstruction (the "pipeline.reconstruct" span). */
+    double total_ms = 0.0;
     /** Worker threads the pipeline ran with. */
     int threads = 1;
-    /** Full per-stage profile of the reconstruction. */
-    core::StageTiming timing;
 };
 
 std::vector<ScalePoint> run_scalability();

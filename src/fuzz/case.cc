@@ -81,19 +81,17 @@ injection_by_name(const std::string& name)
             // all-root parent choices: decode succeeds on the warm
             // run, so only a behavioral oracle can notice.
             for (const auto& key : store.keys(core::kFamilySolveKind)) {
-                std::vector<std::uint8_t> blob;
-                if (!store.get(key, blob))
-                    continue;
-                cache::ByteReader in(blob);
-                core::FamilySolveBlob solution;
-                if (!core::decode_family_solution(in, &solution))
-                    continue;
-                solution.alternatives.resize(1);
-                for (int& parent : solution.alternatives.front())
-                    parent = -1;
-                cache::ByteWriter out;
-                core::encode_family_solution(solution, out);
-                store.corrupt_for_testing(key, out.take());
+                store.forge_payload_for_testing(
+                    key, [](cache::ByteReader& in, cache::ByteWriter& out) {
+                        core::FamilySolveBlob solution;
+                        if (!core::decode_family_solution(in, &solution))
+                            return false;
+                        solution.alternatives.resize(1);
+                        for (int& parent : solution.alternatives.front())
+                            parent = -1;
+                        core::encode_family_solution(solution, out);
+                        return true;
+                    });
             }
         };
     } else if (name == "drop-batch-dedup") {

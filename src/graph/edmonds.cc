@@ -9,10 +9,6 @@ namespace rock::graph {
 
 namespace {
 
-/** Per-thread mirror of `graph.edmonds.contractions`, bumped even
- *  when metrics are disabled (see thread_contraction_tally()). */
-thread_local std::uint64_t tls_contraction_tally = 0;
-
 /** Edge at one contraction level, with a backreference to the level
  *  above. */
 struct LevelEdge {
@@ -105,7 +101,6 @@ solve(int n, const std::vector<LevelEdge>& edges, int root)
             obs::Registry::global().counter(
                 "graph.edmonds.contractions");
         contractions.add(static_cast<std::uint64_t>(num_cycles));
-        tls_contraction_tally += static_cast<std::uint64_t>(num_cycles);
     }
 
     // Contract every cycle into a supernode.
@@ -226,12 +221,6 @@ min_forest(const Digraph& graph)
     result.weight =
         solution->weight - penalty * static_cast<double>(result.num_roots);
     return result;
-}
-
-std::uint64_t
-thread_contraction_tally()
-{
-    return tls_contraction_tally;
 }
 
 } // namespace rock::graph

@@ -53,14 +53,4 @@ std::optional<Arborescence> min_arborescence(const Digraph& graph,
  */
 Arborescence min_forest(const Digraph& graph);
 
-/**
- * Monotone per-thread total of supernode contractions performed by
- * the solver on the calling thread. Mirrors the
- * `graph.edmonds.contractions` counter but is bumped even when
- * metrics are disabled: the warm-cache pipeline (src/cache/) stores
- * deltas of this tally with cached family solutions so a warm run
- * replays the exact counter increments of a cold run.
- */
-std::uint64_t thread_contraction_tally();
-
 } // namespace rock::graph

@@ -12,6 +12,61 @@ std::atomic<bool> g_enabled{true};
 
 } // namespace
 
+namespace detail {
+
+constinit thread_local CounterCapture* tls_capture = nullptr;
+
+void
+capture_add(Counter& counter, std::uint64_t n)
+{
+    tls_capture->record(counter, n);
+}
+
+} // namespace detail
+
+CounterCapture::CounterCapture() : outer_(detail::tls_capture)
+{
+    detail::tls_capture = this;
+}
+
+CounterCapture::~CounterCapture()
+{
+    detail::tls_capture = outer_;
+    if (outer_ != nullptr) {
+        for (auto& [counter, n] : counts_)
+            outer_->record(*counter, n);
+    }
+}
+
+void
+CounterCapture::record(Counter& counter, std::uint64_t n)
+{
+    for (auto& [c, total] : counts_) {
+        if (c == &counter) {
+            total += n;
+            return;
+        }
+    }
+    counts_.emplace_back(&counter, n);
+}
+
+CounterDeltas
+CounterCapture::deltas() const
+{
+    CounterDeltas out;
+    for (const auto& [counter, n] : counts_)
+        out[counter->name()] += n;
+    return out;
+}
+
+void
+replay(const CounterDeltas& deltas)
+{
+    Registry& reg = Registry::global();
+    for (const auto& [name, n] : deltas)
+        reg.counter(name).add(n);
+}
+
 bool
 metrics_enabled()
 {
@@ -112,7 +167,7 @@ Registry::counter(const std::string& name)
                                  "kind");
     auto& slot = counters_[name];
     if (!slot)
-        slot = std::make_unique<Counter>();
+        slot = std::make_unique<Counter>(name);
     return *slot;
 }
 

@@ -18,7 +18,9 @@
  * Hot-path cost contract: every record operation first checks one
  * process-global flag with a single relaxed atomic load and returns
  * immediately when metrics are disabled; when enabled, counters cost
- * one relaxed fetch_add. Callers on hot paths cache the metric
+ * one relaxed fetch_add. Counters also test one thread-local pointer
+ * first: the open CounterCapture, if any (null outside cached
+ * computations). Callers on hot paths cache the metric
  * reference in a function-local static so the by-name registry lookup
  * (mutex + map) happens once per process:
  *
@@ -42,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rock::obs {
@@ -52,16 +55,36 @@ bool metrics_enabled();
 /** Flip recording globally (tests; embedders that want zero noise). */
 void set_metrics_enabled(bool enabled);
 
+class Counter;
+class CounterCapture;
+
+namespace detail {
+
+/** Innermost CounterCapture open on this thread; null when none. */
+extern constinit thread_local CounterCapture* tls_capture;
+
+/** Record @p n increments of @p counter into tls_capture. */
+void capture_add(Counter& counter, std::uint64_t n);
+
+} // namespace detail
+
 /** Monotonic event count. Deterministic across thread counts. */
 class Counter {
   public:
+    explicit Counter(std::string name) : name_(std::move(name)) {}
+
     void
     add(std::uint64_t n = 1)
     {
+        if (detail::tls_capture != nullptr) [[unlikely]]
+            detail::capture_add(*this, n);
         if (!metrics_enabled())
             return;
         value_.fetch_add(n, std::memory_order_relaxed);
     }
+
+    /** Registry name (what captures record and replay() looks up). */
+    const std::string& name() const { return name_; }
 
     std::uint64_t
     value() const
@@ -72,8 +95,51 @@ class Counter {
     void reset() { value_.store(0, std::memory_order_relaxed); }
 
   private:
+    std::string name_;
     std::atomic<std::uint64_t> value_{0};
 };
+
+/** Counter increments by counter name (what a capture records). */
+using CounterDeltas = std::map<std::string, std::uint64_t>;
+
+/**
+ * RAII scope recording every Counter::add made on the opening thread
+ * while it is open -- also while metrics are disabled, so what it
+ * records never depends on the recording setting. Captures nest: on
+ * close, a capture's increments also count toward the capture it was
+ * opened inside. Work a captured region hands to other threads is not
+ * seen (open one capture per thread and merge their deltas()).
+ *
+ * The artifact cache (cache/artifact_cache.h) opens one around every
+ * cached computation and stores the deltas with the artifact; a warm
+ * hit replay()s them, so warm runs tick every counter exactly as the
+ * cold run did. With no capture open, Counter::add pays one
+ * thread-local null check for this.
+ */
+class CounterCapture {
+  public:
+    CounterCapture();
+    ~CounterCapture();
+
+    CounterCapture(const CounterCapture&) = delete;
+    CounterCapture& operator=(const CounterCapture&) = delete;
+
+    /** Increments recorded so far, by counter name. */
+    CounterDeltas deltas() const;
+
+  private:
+    friend void detail::capture_add(Counter& counter, std::uint64_t n);
+
+    void record(Counter& counter, std::uint64_t n);
+
+    /** Distinct counters touched (few per scope: linear scan). */
+    std::vector<std::pair<Counter*, std::uint64_t>> counts_;
+    CounterCapture* outer_;
+};
+
+/** Add every delta to the counter of that name (registering it when
+ *  new): the inverse of a CounterCapture. */
+void replay(const CounterDeltas& deltas);
 
 /** Last-written scalar (non-deterministic section of the report). */
 class Gauge {

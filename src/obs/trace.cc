@@ -185,6 +185,17 @@ span_wall_totals()
     return out;
 }
 
+std::map<std::string, double>
+span_wall_since(const std::vector<std::pair<std::string, double>>& before)
+{
+    std::map<std::string, double> out;
+    for (const auto& [name, ms] : span_wall_totals())
+        out[name] += ms;
+    for (const auto& [name, ms] : before)
+        out[name] -= ms;
+    return out;
+}
+
 namespace detail {
 
 void

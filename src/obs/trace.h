@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,7 @@ struct SpanRecord {
 
 /**
  * RAII timed region. end() (or destruction) records the span; after
- * end(), wall_ms() returns the measured duration so callers can
- * mirror it into legacy fields (StageTiming is populated exactly this
- * way).
+ * end(), wall_ms() returns the measured duration.
  */
 class Span {
   public:
@@ -87,6 +86,13 @@ std::vector<SpanRecord> span_log();
 /** Total wall_ms per span name over the current log (convenience for
  *  reports and regression gates). */
 std::vector<std::pair<std::string, double>> span_wall_totals();
+
+/** Wall ms per span name logged since @p before, a span_wall_totals()
+ *  snapshot. Taken around one reconstruct() call, entry
+ *  "pipeline.<stage>" is that stage's wall time and
+ *  "pipeline.reconstruct" the whole call's. */
+std::map<std::string, double> span_wall_since(
+    const std::vector<std::pair<std::string, double>>& before);
 
 namespace detail {
 

@@ -139,29 +139,24 @@ config_fingerprint(const RockConfig& config)
 }
 
 void
-encode_family_distances(const FamilyDistanceBlob& blob,
+encode_family_distances(const std::vector<double>& weights,
                         cache::ByteWriter& out)
 {
-    out.u32(static_cast<std::uint32_t>(blob.weights.size()));
-    for (double w : blob.weights)
+    out.u32(static_cast<std::uint32_t>(weights.size()));
+    for (double w : weights)
         out.f64(w);
-    out.u64(blob.pairs);
-    out.u64(blob.words);
-    out.u64(blob.escapes);
 }
 
 bool
-decode_family_distances(cache::ByteReader& in, FamilyDistanceBlob* blob)
+decode_family_distances(cache::ByteReader& in,
+                        std::vector<double>* weights)
 {
     const std::uint32_t count = in.u32();
     if (!in.ok() || count > in.remaining() / 8)
         return false;
-    blob->weights.resize(count);
+    weights->resize(count);
     for (std::uint32_t i = 0; i < count; ++i)
-        blob->weights[i] = in.f64();
-    blob->pairs = in.u64();
-    blob->words = in.u64();
-    blob->escapes = in.u64();
+        (*weights)[i] = in.f64();
     return in.at_end();
 }
 
@@ -171,9 +166,6 @@ encode_family_solution(const FamilySolveBlob& blob,
 {
     out.u32(static_cast<std::uint32_t>(blob.m));
     out.u8(blob.structurally_ambiguous ? 1 : 0);
-    out.u64(blob.cooptimal);
-    out.u64(blob.resolved);
-    out.u64(blob.contractions);
     out.u32(static_cast<std::uint32_t>(blob.alternatives.size()));
     for (const auto& parents : blob.alternatives) {
         for (int p : parents)
@@ -186,9 +178,6 @@ decode_family_solution(cache::ByteReader& in, FamilySolveBlob* blob)
 {
     const std::uint32_t m = in.u32();
     const std::uint8_t ambiguous = in.u8();
-    blob->cooptimal = in.u64();
-    blob->resolved = in.u64();
-    blob->contractions = in.u64();
     const std::uint32_t n_alt = in.u32();
     if (!in.ok() || m == 0 || n_alt == 0 || ambiguous > 1)
         return false;

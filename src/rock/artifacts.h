@@ -10,15 +10,16 @@
  *               member-sequence multiset (slm/snapshot.h does the
  *               trie codec; the key builders live here)
  *   "famdist"   one blob per family: the final edge weights of its
- *               feasible-edge range plus the work tallies (pairs,
- *               words, escapes) needed to replay the obs counters on
- *               a warm hit
+ *               feasible-edge range
  *   "famsolve"  one blob per multi-member family: the co-optimal
- *               parent assignments (local member indices) plus the
- *               counter replays of the arborescence stage
+ *               parent assignments (local member indices)
  *   "manifest"  one entry per (image digest, config fingerprint)
  *               marking a completed reconstruction; a hit opens the
  *               "pipeline.warm" span
+ *
+ * The codecs below cover payloads only: ArtifactCache::store() adds
+ * the counter increments each artifact's computation made, and
+ * probe() replays them on a hit.
  *
  * Everything here is deliberately public: the fuzz harness's
  * stale-cache-entry injection decodes, mutates and re-encodes
@@ -91,35 +92,21 @@ std::uint64_t solve_fingerprint(const RockConfig& config);
  */
 std::uint64_t config_fingerprint(const RockConfig& config);
 
-/** Payload of one "famdist" artifact. */
-struct FamilyDistanceBlob {
-    /** Final (post-discount) weights, in family edge order. */
-    std::vector<double> weights;
-    /** divergence.pairs / divergence.words counter replays. */
-    std::uint64_t pairs = 0;
-    std::uint64_t words = 0;
-    /** slm.escapes counter replay (model walks during the metric). */
-    std::uint64_t escapes = 0;
-};
-
-void encode_family_distances(const FamilyDistanceBlob& blob,
+/** Payload of one "famdist" artifact: a family's final
+ *  (post-discount) edge weights, in family edge order. */
+void encode_family_distances(const std::vector<double>& weights,
                              cache::ByteWriter& out);
 
-/** Decode into @p blob; false (= cache miss) on any inconsistency. */
+/** Decode into @p weights; false (= cache miss) on any
+ *  inconsistency. */
 bool decode_family_distances(cache::ByteReader& in,
-                             FamilyDistanceBlob* blob);
+                             std::vector<double>* weights);
 
 /** Payload of one "famsolve" artifact. */
 struct FamilySolveBlob {
     /** Family size the solution was computed for. */
     int m = 0;
     bool structurally_ambiguous = false;
-    /** arborescence.cooptimal_forests counter replay. */
-    std::uint64_t cooptimal = 0;
-    /** arborescence.ties_majority_resolved counter replay. */
-    std::uint64_t resolved = 0;
-    /** graph.edmonds.contractions counter replay. */
-    std::uint64_t contractions = 0;
     /** Surviving parent assignments, member position -> local member
      *  index of the parent (-1 = root); alternatives[0] is selected. */
     std::vector<std::vector<int>> alternatives;

@@ -1,7 +1,7 @@
 #include "rock/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
+#include <optional>
 #include <unordered_set>
 
 #include "cache/artifact_cache.h"
@@ -69,31 +69,32 @@ namespace {
 using PrunedEdges =
     std::unordered_set<std::pair<int, int>, EdgeKeyHash>;
 
-/** solve_family() output plus the tallies a "famsolve" artifact needs
- *  to replay the stage's counters on a warm hit. */
-struct SolveOutcome {
-    FamilyResult fam;
-    /** 1 when the family was structurally ambiguous. */
-    int ambiguous = 0;
-    /** Forests enumerated / ties the majority vote resolved. */
-    std::uint64_t cooptimal = 0;
-    std::uint64_t resolved = 0;
-};
+/** Position of @p type in the ascending @p members list. */
+int
+member_pos(const std::vector<int>& members, int type)
+{
+    auto it = std::lower_bound(members.begin(), members.end(), type);
+    ROCK_ASSERT(it != members.end() && *it == type,
+                "type outside its family");
+    return static_cast<int>(it - members.begin());
+}
 
-/** Solve one family: enumerate co-optimal forests over the weighted
- *  feasible-edge graph and majority-filter the ties. Pure function of
- *  its inputs (runs on pool workers, one family per call). */
-SolveOutcome
-solve_family(int family_id, std::vector<int> members,
+/**
+ * Solve one family (ascending @p members): enumerate co-optimal
+ * forests over the weighted feasible-edge graph and majority-filter
+ * the ties. Returns the survivors with parents as member positions --
+ * the "famsolve" payload. Pure function of its inputs (runs on pool
+ * workers, one family per call).
+ */
+FamilySolveBlob
+solve_family(const std::vector<int>& members,
              const structural::StructuralResult& structural,
              const DistanceMap& distances, const PrunedEdges& pruned,
              const RockConfig& config)
 {
-    SolveOutcome out;
-    FamilyResult& fam = out.fam;
-    fam.family_id = family_id;
-    fam.members = std::move(members);
-    const int m = static_cast<int>(fam.members.size());
+    FamilySolveBlob sol;
+    const int m = static_cast<int>(members.size());
+    sol.m = m;
 
     // Family counters: one-per-call and per-forest counts are pure
     // functions of the input, so the totals survive any scheduling.
@@ -105,23 +106,19 @@ solve_family(int family_id, std::vector<int> members,
         static obs::Counter& singleton = obs::Registry::global().counter(
             "arborescence.singleton_families");
         singleton.add();
-        fam.alternatives.push_back({-1});
-        return out;
+        sol.alternatives.push_back({-1});
+        return sol;
     }
-
-    std::map<int, int> local; // global type index -> member pos
-    for (int i = 0; i < m; ++i)
-        local[fam.members[static_cast<std::size_t>(i)]] = i;
 
     // Structural ambiguity: is there more than one zero-weight
     // spanning forest over the feasible edges alone?
     graph::Digraph skeleton(m);
     for (int i = 0; i < m; ++i) {
-        int child = fam.members[static_cast<std::size_t>(i)];
+        int child = members[static_cast<std::size_t>(i)];
         for (int p :
              structural.possible_parents[static_cast<std::size_t>(
                  child)]) {
-            skeleton.add_edge(local.at(p), i, 0.0);
+            skeleton.add_edge(member_pos(members, p), i, 0.0);
         }
     }
     {
@@ -133,11 +130,9 @@ solve_family(int family_id, std::vector<int> members,
         probe.epsilon = 0.0;
         probe.max_results = 2;
         probe.max_steps = 200000;
-        fam.structurally_ambiguous =
+        sol.structurally_ambiguous =
             graph::enumerate_min_forests(skeleton, probe).size() > 1;
     }
-    if (fam.structurally_ambiguous)
-        out.ambiguous = 1;
 
     // Behaviorally weighted graph. Edges fixed by rule-3
     // constructor evidence are structural certainties: they cost
@@ -150,7 +145,7 @@ solve_family(int family_id, std::vector<int> members,
     // what typeinf resolved).
     graph::Digraph weighted(m);
     for (int i = 0; i < m; ++i) {
-        int child = fam.members[static_cast<std::size_t>(i)];
+        int child = members[static_cast<std::size_t>(i)];
         auto forced = structural.forced_parents.find(child);
         for (int p :
              structural.possible_parents[static_cast<std::size_t>(
@@ -159,7 +154,7 @@ solve_family(int family_id, std::vector<int> members,
                              forced->second == p;
             if (!is_forced && pruned.count({p, child}))
                 continue;
-            weighted.add_edge(local.at(p), i,
+            weighted.add_edge(member_pos(members, p), i,
                               is_forced ? 0.0
                                         : distances.at({p, child}));
         }
@@ -171,16 +166,14 @@ solve_family(int family_id, std::vector<int> members,
     const std::size_t cooptimal = forests.size();
     detail::majority_filter(forests);
     ROCK_ASSERT(!forests.empty(), "no forest survived filtering");
-    out.cooptimal = cooptimal;
-    out.resolved = cooptimal - forests.size();
     {
         static obs::Counter& enumerated = obs::Registry::global().counter(
             "arborescence.cooptimal_forests");
         static obs::Counter& resolved = obs::Registry::global().counter(
             "arborescence.ties_majority_resolved");
-        enumerated.add(out.cooptimal);
-        resolved.add(out.resolved);
-        if (fam.structurally_ambiguous) {
+        enumerated.add(cooptimal);
+        resolved.add(cooptimal - forests.size());
+        if (sol.structurally_ambiguous) {
             static obs::Counter& structurally =
                 obs::Registry::global().counter(
                     "arborescence.structurally_ambiguous");
@@ -188,28 +181,9 @@ solve_family(int family_id, std::vector<int> members,
         }
     }
 
-    for (const auto& forest : forests) {
-        std::vector<int> parents(static_cast<std::size_t>(m), -1);
-        for (int i = 0; i < m; ++i) {
-            int lp = forest.parent[static_cast<std::size_t>(i)];
-            if (lp >= 0) {
-                parents[static_cast<std::size_t>(i)] =
-                    fam.members[static_cast<std::size_t>(lp)];
-            }
-        }
-        fam.alternatives.push_back(std::move(parents));
-    }
-    return out;
-}
-
-/** Position of @p type in the ascending @p members list. */
-int
-member_pos(const std::vector<int>& members, int type)
-{
-    auto it = std::lower_bound(members.begin(), members.end(), type);
-    ROCK_ASSERT(it != members.end() && *it == type,
-                "type outside its family");
-    return static_cast<int>(it - members.begin());
+    for (auto& forest : forests)
+        sol.alternatives.push_back(std::move(forest.parent));
+    return sol;
 }
 
 /**
@@ -246,16 +220,24 @@ famsolve_content(const std::vector<int>& members,
     return h;
 }
 
-/** Sum of @p name over a span_wall_totals() snapshot. */
-double
-span_total(const std::vector<std::pair<std::string, double>>& totals,
-           const char* name)
+/** Family @p family_id's result from its solve_family() output. */
+FamilyResult
+family_result(int family_id, std::vector<int> members,
+              const FamilySolveBlob& sol)
 {
-    for (const auto& [n, ms] : totals) {
-        if (n == name)
-            return ms;
+    FamilyResult fam;
+    fam.family_id = family_id;
+    fam.structurally_ambiguous = sol.structurally_ambiguous;
+    for (const auto& local : sol.alternatives) {
+        std::vector<int> parents(members.size(), -1);
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (local[i] >= 0)
+                parents[i] = members[static_cast<std::size_t>(local[i])];
+        }
+        fam.alternatives.push_back(std::move(parents));
     }
-    return 0.0;
+    fam.members = std::move(members);
+    return fam;
 }
 
 } // namespace
@@ -294,10 +276,8 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     support::ThreadPool pool(threads);
 
     ReconstructionResult result;
-    // Every stage runs under a span; StageTiming is populated from the
-    // span tree (spans are the source of truth, the struct is the
-    // stable legacy surface). Spans are ended explicitly so wall_ms()
-    // is final before it is copied.
+    // Every stage runs under a "pipeline.<stage>" span: per-stage wall
+    // time is read from the span log (obs::span_wall_totals()).
     obs::Span total_span("pipeline.reconstruct");
     obs::Registry::global().counter("pipeline.runs").add();
 
@@ -312,19 +292,16 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     std::shared_ptr<cache::ArtifactCache> artifacts =
         cache::resolve_cache(config.cache);
     cache::ArtifactCache* store = artifacts.get();
-    std::uint64_t manifest_content = 0;
-    std::uint64_t manifest_fp = 0;
+    cache::ArtifactKey manifest{kManifestKind, 0, 0};
     bool warm = false;
     if (store) {
-        manifest_content = cfg::image_digest(image);
-        manifest_fp = config_fingerprint(config);
-        std::vector<std::uint8_t> blob;
-        if (store->get({kManifestKind, manifest_content, manifest_fp},
-                       blob)) {
-            warm = true;
+        manifest.content = cfg::image_digest(image);
+        manifest.fingerprint = config_fingerprint(config);
+        warm = store->probe(manifest, [&](cache::ByteReader& in) {
+            return in.u64() == manifest.content && in.at_end();
+        });
+        if (warm)
             obs::Span warm_span("pipeline.warm");
-            warm_span.end();
-        }
     }
 
     // ---- Shared CFG recovery (parallel over functions) -----------------
@@ -332,10 +309,8 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     // analysis; nobody downstream rebuilds a CFG or re-decodes a body.
     cfg::CfgCache cfgs(image);
     {
-        obs::Span cfg_span("pipeline.cfg");
+        obs::Span span("pipeline.cfg");
         cfgs.build_all(pool);
-        cfg_span.end();
-        result.timing.cfg_ms = cfg_span.wall_ms();
     }
 
     // ---- Image verification (parallel over functions) ------------------
@@ -343,7 +318,6 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         obs::Span span("pipeline.verify");
         result.diagnostics = cfg::verify_image(image, pool, cfgs);
         span.end();
-        result.timing.verify_ms = span.wall_ms();
         if (!result.diagnostics.empty()) {
             ROCK_LOG_WARN << "rockcheck: " << result.diagnostics.size()
                           << " diagnostic(s) on the input image, e.g. "
@@ -352,20 +326,21 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     }
 
     // ---- Behavioral analysis (parallel over functions) -----------------
-    obs::Span analyze_span("pipeline.analyze");
-    analysis::SymExecConfig symexec = config.symexec;
-    symexec.threads = threads;
-    result.analysis = analysis::analyze(image, symexec, cfgs, artifacts);
-    analyze_span.end();
-    result.timing.analyze_ms = analyze_span.wall_ms();
+    {
+        obs::Span span("pipeline.analyze");
+        analysis::SymExecConfig symexec = config.symexec;
+        symexec.threads = threads;
+        result.analysis =
+            analysis::analyze(image, symexec, cfgs, artifacts);
+    }
 
     // ---- Structural analysis (serial; cheap) ---------------------------
-    obs::Span structural_span("pipeline.structural");
-    result.structural = structural::structural_analysis(
-        result.analysis.vtables, result.analysis.evidence,
-        result.analysis.ctor_types);
-    structural_span.end();
-    result.timing.structural_ms = structural_span.wall_ms();
+    {
+        obs::Span span("pipeline.structural");
+        result.structural = structural::structural_analysis(
+            result.analysis.vtables, result.analysis.evidence,
+            result.analysis.ctor_types);
+    }
 
     const auto& types = result.structural.types;
     const int n = static_cast<int>(types.size());
@@ -374,11 +349,10 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     // Solved derives-from facts sharpen the arborescence objective
     // below; inconsistent evidence joins the rockcheck findings.
     if (config.typeinf) {
-        obs::Span typeinf_span("pipeline.typeinf");
+        obs::Span span("pipeline.typeinf");
         result.typeinf = typeinf::infer(
             image, cfgs, result.analysis.vtables, pool, artifacts);
-        typeinf_span.end();
-        result.timing.typeinf_ms = typeinf_span.wall_ms();
+        span.end();
         for (cfg::Diagnostic& d : result.typeinf.diagnostics())
             result.diagnostics.push_back(std::move(d));
     }
@@ -395,11 +369,9 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     // families still chunk internally; chunk plans use a *fixed*
     // pseudo-worker fan-out, so the task count and graph shape depend
     // only on the input, never on the pool size (the threadpool.items
-    // counter stays bit-identical across thread counts). StageTiming
+    // counter stays bit-identical across thread counts). Per-stage
     // attribution survives via per-task spans: each task logs its work
-    // under the owning stage's span name, and the per-stage fields
-    // below are span_wall_totals() deltas over the tail.
-    const auto tail_before = obs::span_wall_totals();
+    // under the owning stage's span name.
 
     // ---- Train prelude (serial): alphabet interning --------------------
     // Interning mutates shared state, so it runs serially in type
@@ -556,66 +528,43 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
             type_words.resize(static_cast<std::size_t>(n));
 
         // Per-family distance-blob probe: a hit pre-fills the family's
-        // weight range (final, post-discount values) and replays the
-        // work counters the skipped evaluation would have bumped.
-        if (store) {
-            for (int f = 0; f < num_families; ++f) {
-                const std::size_t eb =
-                    fam_edge_begin[static_cast<std::size_t>(f)];
-                const std::size_t ee =
-                    fam_edge_end[static_cast<std::size_t>(f)];
-                if (eb == ee)
-                    continue;
-                std::uint64_t h =
-                    cache::mix(cache::kFnvSeed, ee - eb);
-                for (std::size_t e = eb; e < ee; ++e) {
-                    const auto [p, c] = edges[e];
-                    h = cache::mix(h, static_cast<std::uint64_t>(
-                                          static_cast<std::uint32_t>(p)));
-                    h = cache::mix(h, static_cast<std::uint64_t>(
-                                          static_cast<std::uint32_t>(c)));
-                    h = cache::mix(
-                        h, type_seq_hash[static_cast<std::size_t>(p)]);
-                    h = cache::mix(
-                        h, type_seq_hash[static_cast<std::size_t>(c)]);
-                    h = cache::mix(
-                        h, edge_discounted[e] ? 1 : 0);
-                }
-                famdist_content[static_cast<std::size_t>(f)] = h;
-                std::vector<std::uint8_t> blob;
-                if (!store->get({kFamilyDistanceKind, h, fp_dist},
-                                blob))
-                    continue;
-                cache::ByteReader in(blob);
-                FamilyDistanceBlob dist;
-                if (!decode_family_distances(in, &dist) ||
-                    dist.weights.size() != ee - eb)
-                    continue;
-                std::copy(dist.weights.begin(), dist.weights.end(),
+        // weight range (final, post-discount values); probe() replays
+        // the counters the skipped evaluation would have bumped.
+        for (std::size_t f = 0; store && f < famdist_content.size(); ++f) {
+            const std::size_t eb = fam_edge_begin[f];
+            const std::size_t ee = fam_edge_end[f];
+            if (eb == ee)
+                continue;
+            std::uint64_t h = cache::mix(cache::kFnvSeed, ee - eb);
+            for (std::size_t e = eb; e < ee; ++e) {
+                const auto [p, c] = edges[e];
+                h = cache::mix(h, static_cast<std::uint32_t>(p));
+                h = cache::mix(h, static_cast<std::uint32_t>(c));
+                h = cache::mix(h, type_seq_hash[static_cast<std::size_t>(p)]);
+                h = cache::mix(h, type_seq_hash[static_cast<std::size_t>(c)]);
+                h = cache::mix(h, edge_discounted[e] ? 1 : 0);
+            }
+            famdist_content[f] = h;
+            std::vector<double> weights;
+            famdist_loaded[f] = store->probe(
+                {kFamilyDistanceKind, h, fp_dist},
+                [&](cache::ByteReader& in) {
+                    return decode_family_distances(in, &weights) &&
+                           weights.size() == ee - eb;
+                });
+            if (famdist_loaded[f])
+                std::copy(weights.begin(), weights.end(),
                           edge_weights.begin() +
                               static_cast<std::ptrdiff_t>(eb));
-                famdist_loaded[static_cast<std::size_t>(f)] = 1;
-                obs::Registry& reg = obs::Registry::global();
-                reg.counter("divergence.pairs").add(dist.pairs);
-                reg.counter("divergence.words").add(dist.words);
-                reg.counter("slm.escapes").add(dist.escapes);
-            }
         }
-        span.end();
     }
 
     // ---- Per-family task chains ----------------------------------------
     result.families.resize(static_cast<std::size_t>(num_families));
-    std::vector<int> ambiguous(static_cast<std::size_t>(num_families),
-                               0);
-    // Per-family tallies of the work the distance chunks performed,
-    // captured via the thread-local mirrors (metrics.h, ppm.h) so a
-    // cold run can store exactly what a warm hit must replay.
-    std::vector<std::atomic<std::uint64_t>> fam_pairs(
-        static_cast<std::size_t>(num_families));
-    std::vector<std::atomic<std::uint64_t>> fam_words(
-        static_cast<std::size_t>(num_families));
-    std::vector<std::atomic<std::uint64_t>> fam_escapes(
+    // Counter increments of each family's distance chunks (one slot
+    // per chunk: chunks run on different threads), stored with the
+    // family's "famdist" blob.
+    std::vector<std::vector<obs::CounterDeltas>> dist_captured(
         static_cast<std::size_t>(num_families));
 
     // Fixed chunk fan-out: larger than any sane worker count so big
@@ -656,37 +605,29 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                               pos < chunk.end; ++pos) {
                              const std::size_t t =
                                  static_cast<std::size_t>(mem[pos]);
-                             if (store) {
-                                 cache::ArtifactKey key{
-                                     kSlmArtifactKind, type_seq_hash[t],
-                                     fp_slm};
-                                 std::vector<std::uint8_t> blob;
-                                 if (store->get(key, blob)) {
-                                     cache::ByteReader in(blob);
-                                     if (auto model = slm::restore_model(
-                                             config.slm, alphabet_size,
-                                             in)) {
-                                         slm::record_training_metrics(
-                                             *model, seqs[t]);
-                                         models[t] = std::move(model);
-                                     }
-                                 }
-                                 if (!models[t]) {
-                                     models[t] = slm::train_model(
-                                         config.slm, alphabet_size,
-                                         seqs[t]);
-                                     cache::ByteWriter out;
-                                     slm::snapshot_model(*models[t],
-                                                         out);
-                                     store->put(key, out.take());
-                                 }
-                             } else {
+                             if (!store) {
                                  models[t] = slm::train_model(
-                                     config.slm, alphabet_size,
-                                     seqs[t]);
+                                     config.slm, alphabet_size, seqs[t]);
+                                 continue;
                              }
+                             const cache::ArtifactKey key{
+                                 kSlmArtifactKind, type_seq_hash[t],
+                                 fp_slm};
+                             if (store->probe(
+                                     key, [&](cache::ByteReader& in) {
+                                         models[t] = slm::restore_model(
+                                             config.slm, alphabet_size,
+                                             in);
+                                         return models[t] != nullptr;
+                                     }))
+                                 continue;
+                             obs::CounterCapture capture;
+                             models[t] = slm::train_model(
+                                 config.slm, alphabet_size, seqs[t]);
+                             cache::ByteWriter out;
+                             slm::snapshot_model(*models[t], out);
+                             store->store(key, out, capture.deltas());
                          }
-                         span.end();
                      }
                      if (need_words) {
                          // ObservedUnion word sets: sort-deduplicate
@@ -702,7 +643,6 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                                  divergence::sorted_unique_words(
                                      seqs[t]);
                          }
-                         span.end();
                      }
                  },
                  {}});
@@ -712,72 +652,50 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         if (ee > eb) {
             support::ChunkPlan edge_plan;
             edge_plan.costs = edge_costs.data() + eb;
-            for (const support::Chunk& chunk :
-                 support::plan_chunks(ee - eb, kTaskFanout, edge_plan)) {
+            const std::vector<support::Chunk> chunks =
+                support::plan_chunks(ee - eb, kTaskFanout, edge_plan);
+            dist_captured[static_cast<std::size_t>(f)].resize(
+                chunks.size());
+            for (std::size_t k = 0; k < chunks.size(); ++k) {
                 dist_ids.push_back(tasks.size());
                 tasks.push_back(
-                    {[&, f, eb, chunk]() {
+                    {[&, f, eb, k, chunk = chunks[k]]() {
                          obs::Span span("pipeline.distances");
-                         if (!famdist_loaded[static_cast<std::size_t>(
-                                 f)]) {
-                             const divergence::PairTally before =
-                                 divergence::thread_pair_tally();
-                             const std::uint64_t escapes_before =
-                                 slm::thread_escape_tally();
-                             for (std::size_t i = chunk.begin;
-                                  i < chunk.end; ++i) {
-                                 const std::size_t e = eb + i;
-                                 const auto [p, c] = edges[e];
-                                 divergence::WordSet words =
-                                     observed_union
-                                         ? divergence::merge_word_sets(
-                                               type_words
-                                                   [static_cast<
-                                                       std::size_t>(p)],
-                                               type_words
-                                                   [static_cast<
-                                                       std::size_t>(c)])
-                                         : divergence::build_word_set(
-                                               config.words,
-                                               seqs[static_cast<
-                                                   std::size_t>(p)],
-                                               seqs[static_cast<
-                                                   std::size_t>(c)],
-                                               models[static_cast<
-                                                          std::size_t>(
-                                                          p)]
-                                                   .get(),
-                                               alphabet_size);
-                                 if (!words.empty()) {
-                                     edge_weights[e] =
-                                         divergence::pair_distance(
-                                             config.metric,
-                                             *models[static_cast<
-                                                 std::size_t>(p)],
-                                             *models[static_cast<
-                                                 std::size_t>(c)],
-                                             words);
-                                 }
-                                 // Solved-subtype agreement: cheapen
-                                 // the edge without ever touching the
-                                 // zero-cost floor forced edges stand
-                                 // on.
-                                 if (edge_discounted[e] &&
-                                     edge_weights[e] > 0.0)
-                                     edge_weights[e] *=
-                                         config.typeinf_discount;
+                         if (famdist_loaded[static_cast<std::size_t>(f)])
+                             return;
+                         std::optional<obs::CounterCapture> capture;
+                         if (store)
+                             capture.emplace();
+                         for (std::size_t i = chunk.begin; i < chunk.end;
+                              ++i) {
+                             const std::size_t e = eb + i;
+                             const auto [p, c] = edges[e];
+                             const std::size_t pi =
+                                 static_cast<std::size_t>(p);
+                             const std::size_t ci =
+                                 static_cast<std::size_t>(c);
+                             divergence::WordSet words =
+                                 observed_union
+                                     ? divergence::merge_word_sets(
+                                           type_words[pi], type_words[ci])
+                                     : divergence::build_word_set(
+                                           config.words, seqs[pi],
+                                           seqs[ci], models[pi].get(),
+                                           alphabet_size);
+                             if (!words.empty()) {
+                                 edge_weights[e] = divergence::pair_distance(
+                                     config.metric, *models[pi],
+                                     *models[ci], words);
                              }
-                             const divergence::PairTally after =
-                                 divergence::thread_pair_tally();
-                             fam_pairs[static_cast<std::size_t>(f)] +=
-                                 after.pairs - before.pairs;
-                             fam_words[static_cast<std::size_t>(f)] +=
-                                 after.words - before.words;
-                             fam_escapes[static_cast<std::size_t>(f)] +=
-                                 slm::thread_escape_tally() -
-                                 escapes_before;
+                             // Solved-subtype agreement: cheapen the edge
+                             // without ever touching the zero-cost floor
+                             // forced edges stand on.
+                             if (edge_discounted[e] && edge_weights[e] > 0.0)
+                                 edge_weights[e] *= config.typeinf_discount;
                          }
-                         span.end();
+                         if (capture)
+                             dist_captured[static_cast<std::size_t>(f)][k] =
+                                 capture->deltas();
                      },
                      train_ids});
             }
@@ -786,32 +704,25 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         tasks.push_back(
             {[&, f, eb, ee]() {
                  obs::Span span("pipeline.arborescence");
-                 auto& mem =
-                     family_members[static_cast<std::size_t>(f)];
-                 // The family's weight range is final: persist it (plus
-                 // the counter tallies) if this run computed it.
-                 if (store && ee > eb &&
-                     !famdist_loaded[static_cast<std::size_t>(f)]) {
-                     FamilyDistanceBlob blob;
-                     blob.weights.assign(
-                         edge_weights.begin() +
-                             static_cast<std::ptrdiff_t>(eb),
-                         edge_weights.begin() +
-                             static_cast<std::ptrdiff_t>(ee));
-                     blob.pairs =
-                         fam_pairs[static_cast<std::size_t>(f)].load();
-                     blob.words =
-                         fam_words[static_cast<std::size_t>(f)].load();
-                     blob.escapes =
-                         fam_escapes[static_cast<std::size_t>(f)]
-                             .load();
+                 const std::size_t fi = static_cast<std::size_t>(f);
+                 auto& mem = family_members[fi];
+                 // The family's weight range is final: persist it with
+                 // its distance chunks' counters if this run computed it.
+                 if (store && ee > eb && !famdist_loaded[fi]) {
+                     obs::CounterDeltas captured;
+                     for (const obs::CounterDeltas& chunk : dist_captured[fi])
+                         for (const auto& [name, delta] : chunk)
+                             captured[name] += delta;
                      cache::ByteWriter out;
-                     encode_family_distances(blob, out);
-                     store->put(
-                         {kFamilyDistanceKind,
-                          famdist_content[static_cast<std::size_t>(f)],
-                          fp_dist},
-                         out.take());
+                     encode_family_distances(
+                         {edge_weights.begin() +
+                              static_cast<std::ptrdiff_t>(eb),
+                          edge_weights.begin() +
+                              static_cast<std::ptrdiff_t>(ee)},
+                         out);
+                     store->store({kFamilyDistanceKind,
+                                   famdist_content[fi], fp_dist},
+                                  out, captured);
                  }
                  // Local view of this family's distances (solve_family
                  // and the famsolve content key both read it).
@@ -820,105 +731,30 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                  for (std::size_t e = eb; e < ee; ++e)
                      local.emplace(edges[e], edge_weights[e]);
 
-                 bool solved = false;
-                 std::uint64_t content = 0;
-                 if (store && mem.size() >= 2) {
-                     content = famsolve_content(mem, result.structural,
-                                                local, typeinf_pruned);
-                     std::vector<std::uint8_t> blob;
-                     if (store->get({kFamilySolveKind, content,
-                                     fp_solve},
-                                    blob)) {
-                         cache::ByteReader in(blob);
-                         FamilySolveBlob sol;
-                         if (decode_family_solution(in, &sol) &&
-                             sol.m == static_cast<int>(mem.size())) {
-                             obs::Registry& reg =
-                                 obs::Registry::global();
-                             reg.counter(
-                                    "arborescence.families_solved")
-                                 .add();
-                             reg.counter(
-                                    "arborescence.cooptimal_forests")
-                                 .add(sol.cooptimal);
-                             reg.counter("arborescence."
-                                         "ties_majority_resolved")
-                                 .add(sol.resolved);
-                             if (sol.structurally_ambiguous) {
-                                 reg.counter(
-                                        "arborescence."
-                                        "structurally_ambiguous")
-                                     .add();
-                             }
-                             reg.counter("graph.edmonds.contractions")
-                                 .add(sol.contractions);
-                             FamilyResult fam;
-                             fam.family_id = f;
-                             fam.structurally_ambiguous =
-                                 sol.structurally_ambiguous;
-                             for (const auto& lp : sol.alternatives) {
-                                 std::vector<int> parents(mem.size(),
-                                                          -1);
-                                 for (std::size_t i = 0;
-                                      i < mem.size(); ++i) {
-                                     if (lp[i] >= 0)
-                                         parents[i] =
-                                             mem[static_cast<
-                                                 std::size_t>(lp[i])];
-                                 }
-                                 fam.alternatives.push_back(
-                                     std::move(parents));
-                             }
-                             ambiguous[static_cast<std::size_t>(f)] =
-                                 sol.structurally_ambiguous ? 1 : 0;
-                             fam.members = std::move(mem);
-                             result.families[static_cast<std::size_t>(
-                                 f)] = std::move(fam);
-                             solved = true;
-                         }
+                 FamilySolveBlob sol;
+                 if (!store || mem.size() < 2) {
+                     sol = solve_family(mem, result.structural, local,
+                                        typeinf_pruned, config);
+                 } else {
+                     const cache::ArtifactKey key{
+                         kFamilySolveKind,
+                         famsolve_content(mem, result.structural, local,
+                                          typeinf_pruned),
+                         fp_solve};
+                     if (!store->probe(key, [&](cache::ByteReader& in) {
+                             return decode_family_solution(in, &sol) &&
+                                    sol.m == static_cast<int>(mem.size());
+                         })) {
+                         obs::CounterCapture capture;
+                         sol = solve_family(mem, result.structural, local,
+                                            typeinf_pruned, config);
+                         cache::ByteWriter out;
+                         encode_family_solution(sol, out);
+                         store->store(key, out, capture.deltas());
                      }
                  }
-                 if (!solved) {
-                     const std::uint64_t contractions_before =
-                         graph::thread_contraction_tally();
-                     SolveOutcome out = solve_family(
-                         f, std::move(mem), result.structural, local,
-                         typeinf_pruned, config);
-                     const std::uint64_t contractions =
-                         graph::thread_contraction_tally() -
-                         contractions_before;
-                     ambiguous[static_cast<std::size_t>(f)] =
-                         out.ambiguous;
-                     if (store && out.fam.members.size() >= 2) {
-                         FamilySolveBlob sol;
-                         sol.m = static_cast<int>(
-                             out.fam.members.size());
-                         sol.structurally_ambiguous =
-                             out.fam.structurally_ambiguous;
-                         sol.cooptimal = out.cooptimal;
-                         sol.resolved = out.resolved;
-                         sol.contractions = contractions;
-                         for (const auto& parents :
-                              out.fam.alternatives) {
-                             std::vector<int> lp(parents.size(), -1);
-                             for (std::size_t i = 0;
-                                  i < parents.size(); ++i) {
-                                 if (parents[i] >= 0)
-                                     lp[i] = member_pos(
-                                         out.fam.members, parents[i]);
-                             }
-                             sol.alternatives.push_back(std::move(lp));
-                         }
-                         cache::ByteWriter w;
-                         encode_family_solution(sol, w);
-                         store->put(
-                             {kFamilySolveKind, content, fp_solve},
-                             w.take());
-                     }
-                     result.families[static_cast<std::size_t>(f)] =
-                         std::move(out.fam);
-                 }
-                 span.end();
+                 result.families[fi] =
+                     family_result(f, std::move(mem), sol);
              },
              dist_ids.empty() ? train_ids : dist_ids});
     }
@@ -930,38 +766,23 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         result.distances.reserve(edges.size());
         for (std::size_t e = 0; e < edges.size(); ++e)
             result.distances.emplace(edges[e], edge_weights[e]);
-        span.end();
     }
-    {
-        obs::Span span("pipeline.arborescence");
-        for (int flag : ambiguous)
-            result.ambiguous_families += flag;
-        span.end();
-    }
-    const auto tail_after = obs::span_wall_totals();
-    result.timing.train_ms =
-        span_total(tail_after, "pipeline.train") -
-        span_total(tail_before, "pipeline.train");
-    result.timing.distances_ms =
-        span_total(tail_after, "pipeline.distances") -
-        span_total(tail_before, "pipeline.distances");
-    result.timing.arborescence_ms =
-        span_total(tail_after, "pipeline.arborescence") -
-        span_total(tail_before, "pipeline.arborescence");
+    for (const FamilyResult& fam : result.families)
+        result.ambiguous_families += fam.structurally_ambiguous ? 1 : 0;
 
     std::vector<int> first(result.families.size(), 0);
     result.hierarchy = result.hierarchy_with(first);
 
     // A completed run vouches for every artifact it stored: publish
     // the manifest so the next identical run reports itself warm.
+    // Its trailer is empty: a later hit replays nothing, because the
+    // warm run it marks does all its own counting.
     if (store && !warm) {
         cache::ByteWriter w;
-        w.u64(manifest_content);
-        store->put({kManifestKind, manifest_content, manifest_fp},
-                   w.take());
+        w.u64(manifest.content);
+        store->store(manifest, w, {});
     }
     total_span.end();
-    result.timing.total_ms = total_span.wall_ms();
 
     if (obs::metrics_enabled()) {
         obs::Registry& reg = obs::Registry::global();

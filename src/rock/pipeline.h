@@ -101,40 +101,6 @@ struct RockConfig {
     std::shared_ptr<cache::ArtifactCache> cache;
 };
 
-/**
- * Wall-clock profile of one reconstruction, one entry per pipeline
- * stage (milliseconds). Populated on every reconstruct() call;
- * bench/pipeline_scaling emits these as machine-readable JSON.
- *
- * Deprecated-but-stable: since the obs layer landed, each field is
- * copied from the corresponding "pipeline.<stage>" obs::Span
- * (obs/trace.h), which is the source of truth -- new consumers should
- * read the span tree via obs::MetricsReport instead. Equality between
- * the two surfaces is pinned by tests/obs_test.cc.
- */
-struct StageTiming {
-    /** Shared per-image CFG recovery (cfg::CfgCache::build_all). */
-    double cfg_ms = 0.0;
-    /** rockcheck image verification over the cached CFGs (0 when
-     *  RockConfig::verify off). */
-    double verify_ms = 0.0;
-    /** Vtable scan + two-phase per-function symbolic execution. */
-    double analyze_ms = 0.0;
-    /** Family clustering + impossible-parent elimination. */
-    double structural_ms = 0.0;
-    /** Subtyping constraint generation + solving (0 when
-     *  RockConfig::typeinf off). */
-    double typeinf_ms = 0.0;
-    /** Alphabet interning + per-type SLM training. */
-    double train_ms = 0.0;
-    /** Pairwise divergences over the feasible-edge work list. */
-    double distances_ms = 0.0;
-    /** Per-family arborescence enumeration + majority filtering. */
-    double arborescence_ms = 0.0;
-    /** Whole reconstruct() call. */
-    double total_ms = 0.0;
-};
-
 /** Per-family reconstruction detail. */
 struct FamilyResult {
     int family_id = 0;
@@ -197,8 +163,6 @@ struct ReconstructionResult {
     DistanceMap distances;
     /** Families that needed the behavioral ranking. */
     int ambiguous_families = 0;
-    /** Per-stage wall-clock profile of this reconstruction. */
-    StageTiming timing;
 
     /** The shared event alphabet of all trained models. */
     analysis::Alphabet alphabet;
@@ -239,7 +203,13 @@ void majority_filter(std::vector<graph::Arborescence>& forests);
 
 } // namespace detail
 
-/** Run the full pipeline on @p image. */
+/**
+ * Run the full pipeline on @p image. Every stage runs under an
+ * obs::Span named "pipeline.<stage>" (cfg, verify, analyze,
+ * structural, typeinf, train, distances, arborescence) inside one
+ * "pipeline.reconstruct" span; per-stage wall time is the
+ * obs::span_wall_totals() delta around the call.
+ */
 ReconstructionResult reconstruct(const bir::BinaryImage& image,
                                  const RockConfig& config = {});
 

@@ -57,22 +57,13 @@ train_model(const ModelConfig& config, int alphabet_size,
             const std::vector<std::vector<int>>& sequences)
 {
     auto model = make_model(config, alphabet_size);
-    for (const auto& seq : sequences)
-        model->train(seq);
-    model->finalize();
-    record_training_metrics(*model, sequences);
-    return model;
-}
-
-void
-record_training_metrics(const LanguageModel& model,
-                        const std::vector<std::vector<int>>& sequences)
-{
-    if (!obs::metrics_enabled())
-        return;
     std::uint64_t symbols = 0;
-    for (const auto& seq : sequences)
+    for (const auto& seq : sequences) {
+        model->train(seq);
         symbols += seq.size();
+    }
+    model->finalize();
+
     obs::Registry& reg = obs::Registry::global();
     static obs::Counter& trained = reg.counter("slm.models_trained");
     static obs::Counter& seqs = reg.counter("slm.training_sequences");
@@ -80,10 +71,11 @@ record_training_metrics(const LanguageModel& model,
     trained.add();
     seqs.add(sequences.size());
     syms.add(symbols);
-    if (const auto* ppm = dynamic_cast<const PpmModel*>(&model)) {
+    if (const auto* ppm = dynamic_cast<const PpmModel*>(model.get())) {
         static obs::Counter& nodes = reg.counter("slm.trie_nodes");
         nodes.add(ppm->trie().node_count());
     }
+    return model;
 }
 
 } // namespace rock::slm

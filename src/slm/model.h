@@ -92,23 +92,4 @@ std::unique_ptr<LanguageModel>
 train_model(const ModelConfig& config, int alphabet_size,
             const std::vector<std::vector<int>>& sequences);
 
-/**
- * Bump the `slm.*` training counters exactly as train_model() would
- * have for (@p model, @p sequences). train_model() calls this itself;
- * the warm-cache path (src/cache/) calls it after restoring a trained
- * model from a snapshot, so replayed counters match a cold run bit
- * for bit.
- */
-void record_training_metrics(
-    const LanguageModel& model,
-    const std::vector<std::vector<int>>& sequences);
-
-/**
- * Monotone per-thread total of PPM escapes taken on the calling
- * thread. Mirrors the `slm.escapes` counter but is bumped even when
- * metrics are disabled, so cached divergence artifacts carry the same
- * replay data regardless of the producer's metrics setting.
- */
-std::uint64_t thread_escape_tally();
-
 } // namespace rock::slm

@@ -10,10 +10,6 @@ namespace rock::slm {
 
 namespace {
 
-/** Per-thread mirror of `slm.escapes`, bumped even when metrics are
- *  disabled so cached artifacts stay metrics-setting-independent. */
-thread_local std::uint64_t tls_escape_tally = 0;
-
 /** Escape-taken telemetry (docs/OBSERVABILITY.md: slm.escapes). The
  *  escape count is a pure function of (model, query) so the total
  *  stays deterministic across thread counts. */
@@ -23,16 +19,9 @@ count_escape()
     static obs::Counter& escapes =
         obs::Registry::global().counter("slm.escapes");
     escapes.add();
-    ++tls_escape_tally;
 }
 
 } // namespace
-
-std::uint64_t
-thread_escape_tally()
-{
-    return tls_escape_tally;
-}
 
 void
 PpmModel::adopt_trie(ContextTrie trie)

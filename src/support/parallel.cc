@@ -51,8 +51,8 @@ ms_between(std::chrono::steady_clock::time_point a,
 int
 resolve_threads(int threads)
 {
-    if (threads > 0)
-        return threads;
+    if (threads != 0)
+        return std::max(1, threads);
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }

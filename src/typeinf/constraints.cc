@@ -7,6 +7,7 @@
 
 #include "cache/artifact_cache.h"
 #include "cfg/analyses.h"
+#include "obs/metrics.h"
 #include "support/error.h"
 #include "support/str.h"
 
@@ -385,9 +386,8 @@ encode_batch(const Batch& batch, cache::ByteWriter& w)
 }
 
 bool
-decode_batch(const std::vector<std::uint8_t>& blob, Batch& batch)
+decode_batch(cache::ByteReader& r, Batch& batch)
 {
-    cache::ByteReader r(blob);
     batch = Batch{};
     batch.num_vars = r.i32();
     batch.this_var = r.i32();
@@ -514,27 +514,29 @@ generate_constraints(const bir::BinaryImage& image,
     support::ChunkPlan plan;
     plan.costs = group_costs.data();
     pool.parallel_for(group_rep.size(), plan, [&](std::size_t g) {
-        if (store) {
-            std::uint64_t content = cache::mix(
-                cache::kFnvSeed, cache.content_hash(group_rep[g]));
-            content = cache::mix(content,
-                                 image.functions[group_rep[g]].addr);
-            cache::ArtifactKey key{"typeinf", content, fp};
-            std::vector<std::uint8_t> blob;
-            if (store->get(key, blob) &&
-                decode_batch(blob, rep_batches[g]))
-                return;
+        const auto scan = [&] {
             FunctionScanner scanner(image, cache.at(group_rep[g]),
                                     vtable_addrs);
             rep_batches[g] = scanner.scan();
-            cache::ByteWriter w;
-            encode_batch(rep_batches[g], w);
-            store->put(key, w.take());
+        };
+        if (!store) {
+            scan();
             return;
         }
-        FunctionScanner scanner(image, cache.at(group_rep[g]),
-                                vtable_addrs);
-        rep_batches[g] = scanner.scan();
+        std::uint64_t content = cache::mix(
+            cache::kFnvSeed, cache.content_hash(group_rep[g]));
+        content =
+            cache::mix(content, image.functions[group_rep[g]].addr);
+        cache::ArtifactKey key{"typeinf", content, fp};
+        if (store->probe(key, [&](cache::ByteReader& in) {
+                return decode_batch(in, rep_batches[g]);
+            }))
+            return;
+        obs::CounterCapture capture;
+        scan();
+        cache::ByteWriter w;
+        encode_batch(rep_batches[g], w);
+        store->store(key, w, capture.deltas());
     });
 
     // Merge in function-table order: every alias gets its own block

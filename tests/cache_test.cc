@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 
 #include "cache/artifact_cache.h"
 #include "corpus/generator.h"
+#include "obs/metrics.h"
 #include "rock/artifacts.h"
 #include "rock/pipeline.h"
 #include "toyc/compiler.h"
@@ -329,6 +331,56 @@ TEST(CacheIntegration, WarmRunsAreBitIdenticalAcrossThreadCounts)
         EXPECT_GT(hits, after_cold_hits) << "threads=" << threads;
         after_cold_hits = hits;
     }
+}
+
+/** Nonzero counter increments outside cache.* made by @p run. */
+template <typename Fn>
+std::map<std::string, std::uint64_t>
+counter_deltas(Fn&& run)
+{
+    const auto before = obs::Registry::global().counter_values();
+    run();
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] :
+         obs::Registry::global().counter_values()) {
+        auto it = before.find(name);
+        const std::uint64_t delta =
+            value - (it == before.end() ? 0 : it->second);
+        if (delta != 0 && name.rfind("cache.", 0) != 0)
+            out[name] = delta;
+    }
+    return out;
+}
+
+TEST(CacheIntegration, WarmRunReplaysCountersOfAMetricsOffColdRun)
+{
+    // Artifacts carry the counter increments of their computation
+    // whatever the producer's metrics setting: a store filled with
+    // metrics off serves a metrics-on warm run that ticks every
+    // counter outside cache.* exactly as a metrics-on cold run does.
+    toyc::CompileResult compiled = compile_corpus(24, 7);
+    core::RockConfig config;
+    config.threads = 1;
+    config.typeinf = false; // keep DKL pairs (and their counters) live
+
+    config.cache =
+        std::make_shared<cache::ArtifactCache>(cache::CacheOptions{});
+    const auto cold = counter_deltas(
+        [&] { core::reconstruct(compiled.image, config); });
+    ASSERT_GT(cold.count("divergence.pairs"), 0u);
+    ASSERT_GT(cold.count("slm.models_trained"), 0u);
+
+    auto store =
+        std::make_shared<cache::ArtifactCache>(cache::CacheOptions{});
+    config.cache = store;
+    obs::set_metrics_enabled(false);
+    core::reconstruct(compiled.image, config);
+    obs::set_metrics_enabled(true);
+
+    const auto warm = counter_deltas(
+        [&] { core::reconstruct(compiled.image, config); });
+    EXPECT_GT(store->stats().hits, 0u);
+    EXPECT_EQ(warm, cold);
 }
 
 TEST(CacheIntegration, DiskWarmStartInFreshStore)

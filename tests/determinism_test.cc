@@ -18,6 +18,7 @@
 #include "corpus/examples.h"
 #include "corpus/generator.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rock/pipeline.h"
 #include "toyc/compiler.h"
 
@@ -192,7 +193,7 @@ TEST(Determinism, MetricsCountersBitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(Determinism, StageTimingPopulatedForEveryStage)
+TEST(Determinism, StageSpansPopulatedForEveryStage)
 {
     corpus::GeneratorSpec spec;
     spec.num_classes = 20;
@@ -202,17 +203,19 @@ TEST(Determinism, StageTimingPopulatedForEveryStage)
         toyc::compile(corpus::generate_program(spec));
     for (int threads : {1, 4}) {
         SCOPED_TRACE(threads);
+        const auto before = obs::span_wall_totals();
         ReconstructionResult result = run_with(compiled.image, threads);
-        EXPECT_GT(result.timing.verify_ms, 0.0);
+        auto spans = obs::span_wall_since(before);
         EXPECT_TRUE(result.diagnostics.empty()); // toyc output is clean
-        EXPECT_GT(result.timing.analyze_ms, 0.0);
-        EXPECT_GT(result.timing.structural_ms, 0.0);
-        EXPECT_GT(result.timing.train_ms, 0.0);
-        EXPECT_GT(result.timing.distances_ms, 0.0);
-        EXPECT_GT(result.timing.arborescence_ms, 0.0);
-        EXPECT_GE(result.timing.total_ms,
-                  result.timing.analyze_ms +
-                      result.timing.structural_ms);
+        for (const char* stage :
+             {"pipeline.cfg", "pipeline.verify", "pipeline.analyze",
+              "pipeline.structural", "pipeline.typeinf",
+              "pipeline.train", "pipeline.distances",
+              "pipeline.arborescence", "pipeline.reconstruct"})
+            EXPECT_GT(spans[stage], 0.0) << stage;
+        EXPECT_GE(spans["pipeline.reconstruct"],
+                  spans["pipeline.analyze"] +
+                      spans["pipeline.structural"]);
     }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
 
 #include "corpus/generator.h"
 #include "obs/json.h"
@@ -67,6 +68,94 @@ TEST(Metrics, DisabledRecordingIsDropped)
     EXPECT_EQ(c.value(), 0u);
     c.add(5);
     EXPECT_EQ(c.value(), 5u);
+}
+
+// ---- counter capture + replay ----------------------------------------
+
+TEST(CounterCapture, RecordsWhileMetricsAreDisabled)
+{
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    obs::set_metrics_enabled(false);
+    obs::CounterDeltas deltas;
+    {
+        obs::CounterCapture capture;
+        reg.counter("test.capture.a").add(3);
+        reg.counter("test.capture.b").add();
+        reg.counter("test.capture.a").add(2);
+        deltas = capture.deltas();
+    }
+    obs::set_metrics_enabled(true);
+    EXPECT_EQ(deltas, (obs::CounterDeltas{{"test.capture.a", 5},
+                                          {"test.capture.b", 1}}));
+    EXPECT_EQ(reg.counter("test.capture.a").value(), 0u);
+    // Closed: later adds are no longer recorded anywhere.
+    reg.counter("test.capture.a").add();
+    EXPECT_EQ(reg.counter("test.capture.a").value(), 1u);
+}
+
+TEST(CounterCapture, ThreadsDoNotLeakIntoEachOther)
+{
+    obs::Registry& reg = obs::Registry::global();
+    obs::CounterDeltas mine;
+    obs::CounterDeltas theirs;
+    {
+        obs::CounterCapture capture;
+        reg.counter("test.capture.main").add();
+        std::thread worker([&] {
+            reg.counter("test.capture.uncaptured").add(7);
+            obs::CounterCapture inner;
+            reg.counter("test.capture.worker").add(2);
+            theirs = inner.deltas();
+        });
+        worker.join();
+        reg.counter("test.capture.main").add();
+        mine = capture.deltas();
+    }
+    EXPECT_EQ(mine, (obs::CounterDeltas{{"test.capture.main", 2}}));
+    EXPECT_EQ(theirs, (obs::CounterDeltas{{"test.capture.worker", 2}}));
+}
+
+TEST(CounterCapture, NestedCapturesFoldIntoTheOuterOne)
+{
+    obs::Registry& reg = obs::Registry::global();
+    obs::CounterCapture outer;
+    reg.counter("test.capture.outer").add();
+    {
+        obs::CounterCapture inner;
+        reg.counter("test.capture.inner").add(4);
+        EXPECT_EQ(inner.deltas(),
+                  (obs::CounterDeltas{{"test.capture.inner", 4}}));
+    }
+    EXPECT_EQ(outer.deltas(),
+              (obs::CounterDeltas{{"test.capture.inner", 4},
+                                  {"test.capture.outer", 1}}));
+}
+
+TEST(CounterCapture, ReplayByNameRoundTrips)
+{
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    obs::CounterDeltas recorded;
+    {
+        obs::CounterCapture capture;
+        reg.counter("test.replay.a").add(11);
+        reg.counter("test.replay.zero").add(0);
+        recorded = capture.deltas();
+    }
+    const auto cold = reg.counter_values();
+    reg.reset();
+    // Replaying registers names on first use and, inside an open
+    // capture, is itself recorded: replays nest like computations.
+    obs::CounterDeltas replayed;
+    {
+        obs::CounterCapture capture;
+        obs::replay(recorded);
+        replayed = capture.deltas();
+    }
+    EXPECT_EQ(replayed, recorded);
+    EXPECT_EQ(reg.counter_values(), cold);
+    EXPECT_EQ(reg.counter("test.replay.a").value(), 11u);
 }
 
 TEST(Metrics, HistogramBucketBoundaries)
@@ -361,28 +450,6 @@ TEST(EndToEnd, ReconstructEmitsMetricsAcrossEveryStage)
           "pipeline.arborescence"}) {
         EXPECT_TRUE(totals.count(span)) << span;
     }
-}
-
-TEST(EndToEnd, StageTimingMatchesSpanTree)
-{
-    // StageTiming is deprecated-but-kept: its fields must be copied
-    // verbatim from the per-stage spans (one reconstruct per reset ->
-    // span totals equal the copied fields exactly).
-    obs::Registry::global().reset();
-    core::ReconstructionResult result = run_generated(1);
-    auto totals = obs::MetricsReport::capture().span_totals();
-    EXPECT_EQ(result.timing.verify_ms, totals.at("pipeline.verify"));
-    EXPECT_EQ(result.timing.analyze_ms, totals.at("pipeline.analyze"));
-    EXPECT_EQ(result.timing.structural_ms,
-              totals.at("pipeline.structural"));
-    EXPECT_EQ(result.timing.typeinf_ms, totals.at("pipeline.typeinf"));
-    EXPECT_EQ(result.timing.train_ms, totals.at("pipeline.train"));
-    EXPECT_EQ(result.timing.distances_ms,
-              totals.at("pipeline.distances"));
-    EXPECT_EQ(result.timing.arborescence_ms,
-              totals.at("pipeline.arborescence"));
-    EXPECT_EQ(result.timing.total_ms,
-              totals.at("pipeline.reconstruct"));
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 #include "divergence/metrics.h"
 #include "eval/application_distance.h"
 #include "eval/ground_truth.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rock/pipeline.h"
 #include "toyc/compiler.h"
 
@@ -38,16 +40,19 @@ TEST(Pipeline, DistancesOnlyOnFeasibleEdges)
 
 TEST(Pipeline, VerifyStageRunsByDefault)
 {
-    ReconstructionResult result = run(corpus::streams_program());
     // Compiled images are rockcheck clean, and the stage is timed.
+    const auto before = obs::span_wall_totals();
+    ReconstructionResult result = run(corpus::streams_program());
     EXPECT_TRUE(result.diagnostics.empty());
-    EXPECT_GT(result.timing.verify_ms, 0.0);
+    EXPECT_GT(obs::span_wall_since(before)["pipeline.verify"], 0.0);
 
     RockConfig off;
     off.verify = false;
+    obs::Registry::global().reset();
     ReconstructionResult skipped = run(corpus::streams_program(), off);
     EXPECT_TRUE(skipped.diagnostics.empty());
-    EXPECT_EQ(skipped.timing.verify_ms, 0.0);
+    for (const obs::SpanRecord& span : obs::span_log())
+        EXPECT_NE(span.name, "pipeline.verify");
 }
 
 TEST(Pipeline, AmbiguousFamiliesCounted)

@@ -11,7 +11,8 @@
 #     50-seed coverage-guided rockfuzz campaign restricted to the
 #     vm-differential oracle (dynamic tracelets under rockvm are a
 #     subset of the static symexec sets); repro files are kept on
-#     failure like every other fuzz leg;
+#     failure like every other fuzz leg, and the campaign's metrics
+#     JSON lands in the ROCK_CI_ARTIFACTS dir when one is set;
 #  4. perf: bench/pipeline_scaling + a rockhier --metrics-json run,
 #     gated against the committed BENCH_pipeline_scaling.json /
 #     BASELINE_rockhier_counters.json baselines with tools/rockstat
@@ -19,15 +20,17 @@
 #     fails); micro_slm/micro_graph/micro_typeinf google-benchmark
 #     runs gated at 3x against BENCH_micro_slm.json /
 #     BENCH_micro_graph.json / BENCH_micro_typeinf.json (order-of-
-#     magnitude detector, not a noise gate); a skype_scale
-#     speedup gate (`rockstat --check --min-speedup 4:2.5`) that
-#     binds only on hosts with >= 4 hardware threads; and a
-#     warm-cache gate (`skype_scale --warm-runs 2` +
+#     magnitude detector, not a noise gate); a skype_scale sweep at
+#     1/4/8 threads (bit-identity always; speedup gate
+#     `rockstat --check --min-speedup 4:2.5` binds only on hosts
+#     with >= 4 hardware threads); and a warm-cache gate
+#     (`skype_scale --warm-runs 2` +
 #     `rockstat --check --min-warm-speedup 5`): warm re-analysis
 #     through the artifact cache (docs/CACHING.md) must be >= 5x
 #     faster than the same process's cold run, bit-identical, with
-#     cache hits -- hardware-independent, never skipped. The warm
-#     JSONL is kept as an artifact (ROCK_CI_ARTIFACTS dir);
+#     cache hits -- hardware-independent, never skipped. Every
+#     measurement file is written straight into the ROCK_CI_ARTIFACTS
+#     dir when one is set, so a failing gate still ships its data;
 #  5. serve: boots rockd on a unix socket, replays a duplicate-heavy
 #     trace of 2000-class submissions through rockctl with 4
 #     concurrent clients, then gates (a) bit-identity -- every served
@@ -51,6 +54,10 @@
 #     --only LEG   run one leg: tier1 | sanitize | vm | perf | serve
 #   JOBS=N overrides build/test parallelism (default: nproc).
 #   ROCK_CI_LEG_TIMEOUT=SECS overrides every leg's time limit.
+#   ROCK_CI_ARTIFACTS=DIR keeps the vm/perf/serve legs' measurement
+#     files in DIR (the GitHub workflow uploads it).
+#   ROCK_CI_REPRO_DIR=DIR collects fuzz repro files in DIR (default:
+#     a private tempdir, kept and printed only on failure).
 set -euo pipefail
 SELF="$(cd "$(dirname "$0")" && pwd)/$(basename "$0")"
 cd "$(dirname "$0")/.."
@@ -87,8 +94,13 @@ leg_vm() {
     # Every built-in corpus image must execute trap-free.
     ./build/tools/rockvm --builtin --threads 0 > /dev/null
     # Coverage-guided differential campaign: dynamic ⊆ static.
+    metrics=()
+    if [ -n "${ROCK_CI_ARTIFACTS:-}" ]; then
+        mkdir -p "$ROCK_CI_ARTIFACTS"
+        metrics=(--metrics-json "$ROCK_CI_ARTIFACTS/vm-metrics.json")
+    fi
     ./build/tools/rockfuzz --seeds 50 --oracle vm-differential \
-        --coverage-pool 4 --repro-dir "$ROCK_CI_REPRO_DIR"
+        --coverage-pool 4 --repro-dir "$ROCK_CI_REPRO_DIR" "${metrics[@]}"
 }
 
 leg_perf() {
@@ -98,13 +110,23 @@ leg_perf() {
     cmake -B build -S .
     cmake --build build -j "$JOBS" --target pipeline_scaling rockhier \
         rockstat rockc micro_slm micro_graph micro_typeinf skype_scale
-    perf_dir="$(mktemp -d "${TMPDIR:-/tmp}/rockperf.XXXXXX")"
+    # Measurements go straight to the artifact dir when the caller
+    # wants them uploaded (the GitHub workflow sets ROCK_CI_ARTIFACTS),
+    # so a failing gate still ships its data.
+    if [ -n "${ROCK_CI_ARTIFACTS:-}" ]; then
+        perf_dir="$ROCK_CI_ARTIFACTS"
+        mkdir -p "$perf_dir"
+    else
+        perf_dir="$(mktemp -d "${TMPDIR:-/tmp}/rockperf.XXXXXX")"
+    fi
     ./build/bench/pipeline_scaling > "$perf_dir/bench.jsonl"
     ./build/tools/rockc --benchmark Smoothing -o "$perf_dir/smoothing.vmi"
     ./build/tools/rockhier "$perf_dir/smoothing.vmi" --threads 2 \
         --metrics-json "$perf_dir/rockhier-metrics.json" > /dev/null
     # Wall-time gate: committed bench trajectory, 25% relative + 5ms
-    # absolute slack (micro-stage noise).
+    # absolute slack (micro-stage noise). A second sweep of the same
+    # build would only measure noise; the committed baseline is what
+    # a regression has to beat.
     ./build/tools/rockstat --baseline BENCH_pipeline_scaling.json \
         "$perf_dir/bench.jsonl"
     # Counter gate: deterministic counters must match the committed
@@ -133,10 +155,11 @@ leg_perf() {
     # the leg ~10s / <1 GB) reconstructed serially and at 4 workers
     # must hit >= 2.5x. Hardware-aware: rockstat --check skips the
     # threshold on hosts with < 4 hw threads but always enforces the
-    # bit-identical check.
-    ./build/bench/skype_scale --classes 2000 --threads 1,4 \
-        --json "$perf_dir/skype.jsonl"
-    ./build/tools/rockstat --check "$perf_dir/skype.jsonl" \
+    # bit-identical check, which the 8-worker run extends.
+    ./build/bench/skype_scale --classes 2000 --threads 1,4,8 \
+        --json "$perf_dir/skype-scale.jsonl" \
+        --metrics-json "$perf_dir/skype-scale-metrics.json"
+    ./build/tools/rockstat --check "$perf_dir/skype-scale.jsonl" \
         --min-speedup 4:2.5
     # Warm-cache gate: one cold + two warm reconstructions of the
     # same 2000-class image in one process; every warm line must be
@@ -146,13 +169,7 @@ leg_perf() {
         --warm-runs 2 --json "$perf_dir/skype-warm.jsonl"
     ./build/tools/rockstat --check "$perf_dir/skype-warm.jsonl" \
         --min-warm-speedup 5
-    # Keep the warm JSONL when the caller wants artifacts uploaded
-    # (the GitHub workflow sets ROCK_CI_ARTIFACTS).
-    if [ -n "${ROCK_CI_ARTIFACTS:-}" ]; then
-        mkdir -p "$ROCK_CI_ARTIFACTS"
-        cp "$perf_dir/skype-warm.jsonl" "$ROCK_CI_ARTIFACTS/"
-    fi
-    rm -rf "$perf_dir"
+    [ -n "${ROCK_CI_ARTIFACTS:-}" ] || rm -rf "$perf_dir"
 }
 
 leg_serve() {
