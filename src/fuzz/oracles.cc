@@ -1151,9 +1151,10 @@ check_cache_consistent(const OracleContext& ctx)
  * bytes must equal a direct reconstruction of the submitted image,
  * for two *different* images pipelined into one analysis wave (the
  * dedup-aliasing trap -- caught when `drop-batch-dedup` collapses the
- * wave's dedup key), and a resubmission of the first image must come
- * back byte-identical out of the shared artifact store with its hit
- * counter moving. Exercises the real daemon on a real unix socket.
+ * wave's dedup key), and two pipelined resubmissions of the first
+ * image must come back byte-identical out of the shared artifact
+ * store with its hit counter moving. Waves are sealed by count, never
+ * by a clock. Exercises the real daemon on a real unix socket.
  */
 OracleVerdict
 check_serve_differential(const OracleContext& ctx)
@@ -1183,9 +1184,12 @@ check_serve_differential(const OracleContext& ctx)
         std::to_string(socket_serial.fetch_add(1)) + ".sock";
     options.rock = ctx.config.rock;
     options.threads = 2;
-    // A window wide enough that two pipelined frames reliably land in
-    // one wave, so the dedup grouping itself is what gets tested.
-    options.batch_window_ms = 150;
+    // Every wave seals when its second frame arrives, so each pair of
+    // pipelined frames shares one wave and the dedup grouping itself
+    // is what gets tested. The window is only a fallback should a
+    // frame never arrive.
+    options.batch_max = 2;
+    options.batch_window_ms = 30000;
     options.collapse_dedup_for_testing =
         ctx.config.hooks.serve_collapse_dedup;
     serve::Server server(options);
@@ -1201,30 +1205,40 @@ check_serve_differential(const OracleContext& ctx)
                             sizeof(addr)) != 0) {
         verdict = fail("cannot connect to the in-process daemon");
     } else {
-        // Both submits pipelined back to back: one wave, two groups.
-        protocol::write_frame(fd, protocol::request_header(1, "submit"),
-                              bytes_a.data(), bytes_a.size());
-        protocol::write_frame(fd, protocol::request_header(2, "submit"),
-                              bytes_b.data(), bytes_b.size());
-        std::map<std::int64_t, std::string> responses;
-        for (int i = 0; i < 2 && verdict.ok; ++i) {
-            protocol::Frame frame;
-            protocol::Response response;
-            if (protocol::read_frame(fd, &frame) !=
-                    protocol::WireStatus::Ok ||
-                !protocol::parse_response_header(frame.header,
-                                                 &response))
-                verdict = fail("daemon response unreadable");
-            else if (response.code != protocol::Code::Ok)
-                verdict = fail(support::format(
-                    "daemon rejected submit %lld: %s",
-                    static_cast<long long>(response.id),
-                    protocol::code_name(response.code)));
-            else
-                responses[response.id] =
-                    std::string(frame.payload.begin(),
-                                frame.payload.end());
-        }
+        // Submits pipelined back to back, answered in either order.
+        auto exchange = [&](std::int64_t first_id,
+                            const std::vector<std::uint8_t>& first,
+                            const std::vector<std::uint8_t>& second) {
+            protocol::write_frame(
+                fd, protocol::request_header(first_id, "submit"),
+                first.data(), first.size());
+            protocol::write_frame(
+                fd, protocol::request_header(first_id + 1, "submit"),
+                second.data(), second.size());
+            std::map<std::int64_t, std::string> responses;
+            for (int i = 0; i < 2 && verdict.ok; ++i) {
+                protocol::Frame frame;
+                protocol::Response response;
+                if (protocol::read_frame(fd, &frame) !=
+                        protocol::WireStatus::Ok ||
+                    !protocol::parse_response_header(frame.header,
+                                                     &response))
+                    verdict = fail("daemon response unreadable");
+                else if (response.code != protocol::Code::Ok)
+                    verdict = fail(support::format(
+                        "daemon rejected submit %lld: %s",
+                        static_cast<long long>(response.id),
+                        protocol::code_name(response.code)));
+                else
+                    responses[response.id] =
+                        std::string(frame.payload.begin(),
+                                    frame.payload.end());
+            }
+            return responses;
+        };
+
+        // One wave, two groups.
+        auto responses = exchange(1, bytes_a, bytes_b);
         if (verdict.ok && responses[1] != expected_a)
             verdict = fail("daemon response for image A differs "
                            "from a direct reconstruction");
@@ -1232,25 +1246,16 @@ check_serve_differential(const OracleContext& ctx)
             verdict = fail("daemon response for image B differs "
                            "from a direct reconstruction");
 
-        // Resubmission: warm, and still the same bytes.
+        // Resubmission: one warm wave, and still the same bytes.
         if (verdict.ok) {
             std::uint64_t hits_before = server.store()->stats().hits;
-            protocol::write_frame(
-                fd, protocol::request_header(3, "submit"),
-                bytes_a.data(), bytes_a.size());
-            protocol::Frame frame;
-            protocol::Response response;
-            if (protocol::read_frame(fd, &frame) !=
-                    protocol::WireStatus::Ok ||
-                !protocol::parse_response_header(frame.header,
-                                                 &response) ||
-                response.code != protocol::Code::Ok)
-                verdict = fail("resubmission failed");
-            else if (std::string(frame.payload.begin(),
-                                 frame.payload.end()) != expected_a)
+            responses = exchange(3, bytes_a, bytes_a);
+            if (verdict.ok && (responses[3] != expected_a ||
+                               responses[4] != expected_a))
                 verdict = fail("resubmission returned different "
                                "bytes than the first submission");
-            else if (server.store()->stats().hits <= hits_before)
+            else if (verdict.ok &&
+                     server.store()->stats().hits <= hits_before)
                 verdict =
                     fail("resubmission did not hit the shared "
                          "artifact store");

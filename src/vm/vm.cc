@@ -59,8 +59,6 @@ VmResult::merge(const VmResult& other)
     untyped_tracelets.insert(untyped_tracelets.end(),
                              other.untyped_tracelets.begin(),
                              other.untyped_tracelets.end());
-    records.insert(records.end(), other.records.begin(),
-                   other.records.end());
     traps.insert(traps.end(), other.traps.begin(), other.traps.end());
     coverage.insert(other.coverage.begin(), other.coverage.end());
     for (std::size_t i = 0; i < kNumOps; ++i)
@@ -173,7 +171,6 @@ struct Interpreter::Machine {
     std::uint32_t heap_next = kHeapBase;
     long total_steps = 0;
     std::uint32_t entry_addr = 0;
-    std::uint32_t entry_opaque = 0;
 };
 
 Interpreter::Interpreter(const bir::BinaryImage& image,
@@ -358,7 +355,7 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
             frame.steps >= config_.max_steps) {
             if (frame.pc < cfg.slots.size())
                 ++out.stats.frame_step_stops;
-            finish_frame(m, frame, out);
+            finish_frame(frame, out);
             return true;
         }
         if (m.total_steps >= config_.max_total_steps) {
@@ -675,12 +672,12 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
             const Shadow& v = frame.sregs[in.a];
             if (v.kind == Shadow::Kind::Obj)
                 emit(v.obj, Event{EventKind::Returned, 0, 0});
-            finish_frame(m, frame, out);
+            finish_frame(frame, out);
             ret = frame.regs[in.a];
             return true;
           }
           case Op::Ret:
-            finish_frame(m, frame, out);
+            finish_frame(frame, out);
             return true;
           case Op::Jmp: {
             std::size_t tgt = 0;
@@ -738,7 +735,7 @@ Interpreter::run_frame(Machine& m, Frame& frame, int depth,
 }
 
 void
-Interpreter::finish_frame(Machine& m, Frame& frame, VmResult& out) const
+Interpreter::finish_frame(Frame& frame, VmResult& out) const
 {
     const bir::FunctionEntry& fn = image_.functions[frame.fn_index];
     auto owners_it = containing_.find(fn.addr);
@@ -778,17 +775,11 @@ Interpreter::finish_frame(Machine& m, Frame& frame, VmResult& out) const
         for (std::uint32_t type : types) {
             auto& dst = out.type_tracelets[type];
             dst.insert(dst.end(), windows.begin(), windows.end());
-            for (const auto& w : windows)
-                out.records.push_back(TraceRecord{
-                    m.entry_addr, m.entry_opaque, type, w});
         }
         if (types.empty() && obj.is_this_param) {
             out.untyped_tracelets.insert(out.untyped_tracelets.end(),
                                          windows.begin(),
                                          windows.end());
-            for (const auto& w : windows)
-                out.records.push_back(
-                    TraceRecord{m.entry_addr, m.entry_opaque, 0, w});
         }
     }
 }
@@ -800,7 +791,6 @@ Interpreter::run_entry(std::size_t fn_index, std::uint32_t opaque) const
     const bir::FunctionEntry& fn = image_.functions[fn_index];
     Machine m;
     m.entry_addr = fn.addr;
-    m.entry_opaque = opaque;
     Frame frame;
     frame.fn_index = fn_index;
     frame.is_entry = true;
@@ -855,7 +845,10 @@ Interpreter::run_image(int threads) const
         c_calls.add(merged.stats.calls);
         c_allocs.add(merged.stats.allocs);
         c_traps.add(merged.traps.size());
-        c_tracelets.add(merged.records.size());
+        std::size_t tracelets = merged.untyped_tracelets.size();
+        for (const auto& typed : merged.type_tracelets)
+            tracelets += typed.second.size();
+        c_tracelets.add(tracelets);
         c_blocks.add(merged.coverage.size());
         c_skips.add(merged.stats.skipped_indirect);
         static const std::array<obs::Counter*, kNumOps> c_ops = [] {

@@ -134,16 +134,6 @@ struct Trap {
     bool operator==(const Trap&) const = default;
 };
 
-/** One emitted tracelet with its provenance (JSONL schema v1 unit). */
-struct TraceRecord {
-    std::uint32_t entry = 0;  ///< entry function address
-    std::uint32_t opaque = 0; ///< opaque-argument value of the run
-    std::uint32_t type = 0;   ///< attributed vtable address; 0=untyped
-    analysis::Tracelet tracelet;
-
-    bool operator==(const TraceRecord&) const = default;
-};
-
 /** Deterministic execution statistics (work items, never timing). */
 struct VmStats {
     std::uint64_t entries = 0; ///< entry functions executed
@@ -171,8 +161,6 @@ struct VmResult {
         type_tracelets;
     /** Tracelets of this-param objects whose type stayed unknown. */
     std::vector<analysis::Tracelet> untyped_tracelets;
-    /** Flat provenance stream, in emission order (JSONL export). */
-    std::vector<TraceRecord> records;
     /** Traps, in detection order. */
     std::vector<Trap> traps;
     /** Covered basic blocks (layout-insensitive fingerprints). */
@@ -186,7 +174,7 @@ struct VmResult {
 
     bool operator==(const VmResult&) const = default;
 
-    /** Fold @p other in (tracelet/record/trap order preserved). */
+    /** Fold @p other in (tracelet/trap order preserved). */
     void merge(const VmResult& other);
 };
 
@@ -256,7 +244,7 @@ class Interpreter {
                const bir::FunctionEntry* fe,
                std::map<int, std::uint32_t> args, int depth,
                VmResult& out) const;
-    void finish_frame(Machine& m, Frame& frame, VmResult& out) const;
+    void finish_frame(Frame& frame, VmResult& out) const;
 
     std::uint32_t load_word(Machine& m, std::uint32_t addr,
                             VmResult& out) const;

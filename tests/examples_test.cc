@@ -58,6 +58,27 @@ TEST(Examples, DataSourcesExact)
     EXPECT_TRUE(internal_succ.count(r.node("FileInternalSource")));
     EXPECT_FALSE(internal_succ.count(r.node("HttpExternalSource")));
     EXPECT_FALSE(internal_succ.count(r.node("FtpExternalSource")));
+
+    // Family-level CFI (type grouping) would let readInternal accept
+    // external sources: both land in one structural family...
+    const auto& sr = r.result.structural;
+    auto family_of = [&](std::uint32_t vtable) {
+        return sr.family[static_cast<std::size_t>(sr.index_of(vtable))];
+    };
+    const auto& vtables = r.compiled.debug.class_to_vtable;
+    EXPECT_EQ(family_of(vtables.at("InternalDataSource")),
+              family_of(vtables.at("HttpExternalSource")));
+
+    // ...so the hierarchy strictly narrows the virtual-call target
+    // sets: a call on T admits T and its successors, not its family.
+    const core::Hierarchy& h = r.result.hierarchy;
+    std::size_t group_total = 0;
+    std::size_t hier_total = 0;
+    for (int v = 0; v < h.size(); ++v) {
+        group_total += sr.family_members(family_of(h.type_at(v))).size();
+        hier_total += h.successors(v).size() + 1;
+    }
+    EXPECT_LT(hier_total, group_total);
 }
 
 TEST(Examples, EchoparamsStructurallyAmbiguousButExact)

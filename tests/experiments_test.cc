@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the experiments runner (the fast case studies; the full
- * Table 2 run lives in the rockbench tool and the bench harnesses).
+ * Tests for the experiments runner: the fast case studies behind
+ * EXPERIMENTS.md. The full Table 2 run is rendered by the rockbench
+ * tool; its per-benchmark shape is checked in benchmarks_test.
  */
 #include <gtest/gtest.h>
 

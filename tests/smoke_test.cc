@@ -55,6 +55,15 @@ TEST(Smoke, StreamsReconstructsFig4)
     EXPECT_EQ(result.hierarchy.parent(stream), -1);
     EXPECT_EQ(result.hierarchy.parent(confirm), stream);
     EXPECT_EQ(result.hierarchy.parent(flush), stream);
+
+    // The paper's Fig. 6 ranking: DKL(Class3, Class1) = 0.07 <
+    // DKL(Class3, Class2) = 0.21, so Stream is the more likely parent
+    // of FlushableStream. The ordering is what must hold.
+    int s_stream = result.structural.index_of(stream_vt);
+    int s_flush = result.structural.index_of(flush_vt);
+    int s_confirm = result.structural.index_of(confirm_vt);
+    EXPECT_LT(result.distances.at({s_stream, s_flush}),
+              result.distances.at({s_confirm, s_flush}));
 }
 
 } // namespace

@@ -6,8 +6,7 @@
  * images, one negative test per trap kind via targeted corruption,
  * shadow-mirror event goldens (ctor + dispatch emit the same events
  * symexec extracts), a determinism sweep (bit-identical across runs
- * and thread counts), and a schema round-trip of the tracelet JSONL
- * export.
+ * and thread counts), and the vm.tracelets counter.
  */
 #include <gtest/gtest.h>
 
@@ -16,9 +15,9 @@
 #include "analysis/analyze.h"
 #include "bir/builder.h"
 #include "corpus/examples.h"
+#include "obs/metrics.h"
 #include "toyc/compiler.h"
 #include "vm/coverage.h"
-#include "vm/trace.h"
 #include "vm/vm.h"
 
 namespace {
@@ -695,65 +694,27 @@ TEST(VmCoverage, DifferentConstantsFingerprintDifferently)
     EXPECT_EQ(one(7), one(7));
 }
 
-// ---- tracelet JSONL schema v1 --------------------------------------------
+// ---- counters ------------------------------------------------------------
 
-TEST(VmTrace, JsonlRoundTripsWholeImageTrace)
+TEST(VmCounters, TraceletCounterCountsEveryEmittedTracelet)
 {
     corpus::CorpusProgram prog = corpus::streams_program();
     toyc::CompileResult built =
         toyc::compile(prog.program, prog.options);
     auto analysis = analysis::analyze(built.image);
     Interpreter interp(built.image, analysis, VmConfig{});
+
+    obs::Counter& counter =
+        obs::Registry::global().counter("vm.tracelets");
+    std::uint64_t before = counter.value();
     VmResult r = interp.run_image(1);
-    ASSERT_FALSE(r.records.empty());
+    std::uint64_t delta = counter.value() - before;
 
-    std::string jsonl = vm::to_jsonl(r);
-    std::string error;
-    auto parsed = vm::parse_trace(jsonl, &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(*parsed, r.records);
-}
-
-TEST(VmTrace, ParserRejectsSchemaViolations)
-{
-    vm::TraceRecord rec;
-    rec.entry = 0x1000;
-    rec.opaque = 1;
-    rec.type = 0x100010;
-    rec.tracelet.push_back(Event{EventKind::VirtCall, 2, 0});
-    std::string good = vm::to_jsonl(rec);
-    ASSERT_TRUE(vm::parse_trace_line(good).has_value());
-    auto round = vm::parse_trace_line(good);
-    EXPECT_EQ(*round, rec);
-
-    std::string error;
-    EXPECT_FALSE(vm::parse_trace_line("{}", &error).has_value());
-    EXPECT_FALSE(
-        vm::parse_trace_line(
-            "{\"rockvm_tracelet\":2,\"entry\":0,\"opaque\":0,"
-            "\"type\":0,\"events\":[]}",
-            &error)
-            .has_value());
-    EXPECT_FALSE(
-        vm::parse_trace_line(
-            "{\"rockvm_tracelet\":1,\"entry\":0,\"opaque\":0,"
-            "\"type\":0,\"events\":[[\"X\",0,0]]}",
-            &error)
-            .has_value());
-    EXPECT_FALSE(vm::parse_trace_line(good + " junk", &error)
-                     .has_value());
-    EXPECT_FALSE(
-        vm::parse_trace_line(
-            "{\"rockvm_tracelet\":1,\"entry\":0,\"opaque\":0,"
-            "\"type\":0,\"events\":[],\"extra\":1}",
-            &error)
-            .has_value());
-    // Missing version tag.
-    EXPECT_FALSE(
-        vm::parse_trace_line("{\"entry\":0,\"opaque\":0,\"type\":0,"
-                             "\"events\":[]}",
-                             &error)
-            .has_value());
+    std::size_t expected = r.untyped_tracelets.size();
+    for (const auto& typed : r.type_tracelets)
+        expected += typed.second.size();
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(delta, expected);
 }
 
 TEST(VmTrace, ConfigMirrorCopiesMirrorKnobs)

@@ -54,8 +54,9 @@
 #     --only LEG   run one leg: tier1 | sanitize | vm | perf | serve
 #   JOBS=N overrides build/test parallelism (default: nproc).
 #   ROCK_CI_LEG_TIMEOUT=SECS overrides every leg's time limit.
-#   ROCK_CI_ARTIFACTS=DIR keeps the vm/perf/serve legs' measurement
-#     files in DIR (the GitHub workflow uploads it).
+#   ROCK_CI_ARTIFACTS=DIR keeps the tier1 fuzz metrics and the
+#     vm/perf/serve legs' measurement files in DIR (the GitHub
+#     workflow uploads it).
 #   ROCK_CI_REPRO_DIR=DIR collects fuzz repro files in DIR (default:
 #     a private tempdir, kept and printed only on failure).
 set -euo pipefail
@@ -74,7 +75,13 @@ leg_tier1() {
     cmake -B build -S .
     cmake --build build -j "$JOBS"
     (cd build && ctest --output-on-failure -j "$JOBS")
-    ./build/tools/rockfuzz --seeds 200 --repro-dir "$ROCK_CI_REPRO_DIR"
+    metrics=()
+    if [ -n "${ROCK_CI_ARTIFACTS:-}" ]; then
+        mkdir -p "$ROCK_CI_ARTIFACTS"
+        metrics=(--metrics-json "$ROCK_CI_ARTIFACTS/fuzz-metrics.json")
+    fi
+    ./build/tools/rockfuzz --seeds 200 --repro-dir "$ROCK_CI_REPRO_DIR" \
+        "${metrics[@]}"
 }
 
 leg_sanitize() {

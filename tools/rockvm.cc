@@ -12,8 +12,6 @@
  *   --threads N       interpreter worker threads (0 = hardware
  *                     concurrency); the merged result is identical
  *                     for every thread count
- *   --trace-jsonl F   append every emitted tracelet to F, one
- *                     schema-v1 JSON line each (vm/trace.h)
  *   --metrics-json F  write an obs::MetricsReport of the run to F
  *
  * Each image is analyzed statically first (analysis::analyze) so the
@@ -25,7 +23,6 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -36,7 +33,6 @@
 #include "obs/report.h"
 #include "support/error.h"
 #include "toyc/compiler.h"
-#include "vm/trace.h"
 #include "vm/vm.h"
 
 namespace {
@@ -46,7 +42,7 @@ using namespace rock;
 /** Execute one image; print a summary. @return trap count. */
 std::size_t
 run_image(const std::string& name, const bir::BinaryImage& image,
-          int threads, std::ofstream* trace_out)
+          int threads)
 {
     analysis::AnalysisResult st = analysis::analyze(image);
     vm::Interpreter interp(image, st, vm::VmConfig{});
@@ -78,8 +74,6 @@ run_image(const std::string& name, const bir::BinaryImage& image,
                 result.untyped_tracelets.size(), result.traps.size(),
                 entry_note.c_str(),
                 result.traps.empty() ? " -- clean" : "");
-    if (trace_out != nullptr)
-        *trace_out << vm::to_jsonl(result);
     return result.traps.size();
 }
 
@@ -90,7 +84,6 @@ main(int argc, char** argv)
 {
     std::vector<std::string> inputs;
     std::string metrics_path;
-    std::string trace_path;
     bool builtin = false;
     int threads = 1;
     for (int i = 1; i < argc; ++i) {
@@ -99,8 +92,6 @@ main(int argc, char** argv)
             builtin = true;
         } else if (arg == "--threads" && i + 1 < argc) {
             threads = std::atoi(argv[++i]);
-        } else if (arg == "--trace-jsonl" && i + 1 < argc) {
-            trace_path = argv[++i];
         } else if (arg == "--metrics-json" && i + 1 < argc) {
             metrics_path = argv[++i];
         } else if (!arg.empty() && arg[0] == '-') {
@@ -114,28 +105,15 @@ main(int argc, char** argv)
     if (inputs.empty() && !builtin) {
         std::fprintf(stderr,
                      "usage: rockvm IMAGE.vmi... | rockvm --builtin "
-                     "[--threads N] [--trace-jsonl FILE] "
-                     "[--metrics-json FILE]\n");
+                     "[--threads N] [--metrics-json FILE]\n");
         return 2;
-    }
-
-    std::ofstream trace_file;
-    std::ofstream* trace_out = nullptr;
-    if (!trace_path.empty()) {
-        trace_file.open(trace_path, std::ios::trunc);
-        if (!trace_file) {
-            std::fprintf(stderr, "rockvm: cannot write '%s'\n",
-                         trace_path.c_str());
-            return 2;
-        }
-        trace_out = &trace_file;
     }
 
     std::size_t total = 0;
     try {
         for (const std::string& input : inputs) {
             bir::BinaryImage image = bir::read_image_file(input);
-            total += run_image(input, image, threads, trace_out);
+            total += run_image(input, image, threads);
         }
         if (builtin) {
             std::vector<corpus::CorpusProgram> programs = {
@@ -148,29 +126,17 @@ main(int argc, char** argv)
             for (const auto& prog : programs) {
                 toyc::CompileResult built =
                     toyc::compile(prog.program, prog.options);
-                total +=
-                    run_image(prog.name, built.image, threads,
-                              trace_out);
+                total += run_image(prog.name, built.image, threads);
             }
             for (const auto& bench : corpus::table2_benchmarks()) {
                 toyc::CompileResult built = toyc::compile(
                     bench.program.program, bench.program.options);
-                total +=
-                    run_image(bench.name, built.image, threads,
-                              trace_out);
+                total += run_image(bench.name, built.image, threads);
             }
         }
     } catch (const support::FatalError& e) {
         std::fprintf(stderr, "rockvm: error: %s\n", e.what());
         return 2;
-    }
-    if (trace_out != nullptr) {
-        trace_file.close();
-        if (!trace_file) {
-            std::fprintf(stderr, "rockvm: write to '%s' failed\n",
-                         trace_path.c_str());
-            return 2;
-        }
     }
     if (!metrics_path.empty()) {
         try {
