@@ -39,6 +39,42 @@ BM_MinForest(benchmark::State& state)
 }
 BENCHMARK(BM_MinForest)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
+/**
+ * A type family shaped like the giant family of `rockc --synthetic
+ * 2000`: about 64 weighed candidate parents per member, and a
+ * zero-weight rule-3 forced parent (always an earlier member, so the
+ * forced edges form a forest) on 88% of the members.
+ */
+graph::Digraph
+family_graph(int n, std::uint64_t seed)
+{
+    support::Rng rng(seed);
+    graph::Digraph g(n);
+    for (int v = 0; v < n; ++v) {
+        if (v > 0 && rng.chance(0.88))
+            g.add_edge(static_cast<int>(rng.index(
+                           static_cast<std::size_t>(v))),
+                       v, 0.0);
+        for (int k = 0; k < 64; ++k) {
+            int u = static_cast<int>(
+                rng.index(static_cast<std::size_t>(n - 1)));
+            if (u >= v)
+                ++u;
+            g.add_edge(u, v, rng.real() * 10.0 + 0.1);
+        }
+    }
+    return g;
+}
+
+void
+BM_MinForestFamily(benchmark::State& state)
+{
+    graph::Digraph g = family_graph(static_cast<int>(state.range(0)), 7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(graph::min_forest(g));
+}
+BENCHMARK(BM_MinForestFamily)->Arg(2200);
+
 void
 BM_EnumerateCoOptimal(benchmark::State& state)
 {

@@ -60,9 +60,10 @@
 
 namespace rock::cache {
 
-/** Bump whenever any artifact encoding changes shape; every key's
+/** Bump whenever any artifact encoding changes shape, or an entry's
+ *  payload or counter trailer changes for the same key; every key's
  *  fingerprint folds this in, so old entries become misses. */
-constexpr std::uint32_t kSchemaVersion = 2;
+constexpr std::uint32_t kSchemaVersion = 3;
 
 /** FNV-1a offset basis (the seed of every content hash here). */
 constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;

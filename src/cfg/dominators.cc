@@ -1,105 +1,33 @@
 #include "cfg/dominators.h"
 
-#include <algorithm>
+#include "graph/dominators.h"
 
 namespace rock::cfg {
 
 bool
 DomTree::dominates(int a, int b) const
 {
-    if (a < 0 || b < 0 ||
-        static_cast<std::size_t>(b) >= idom.size() ||
-        static_cast<std::size_t>(a) >= idom.size())
-        return false;
-    if (idom[static_cast<std::size_t>(b)] < 0)
-        return false; // b unreachable: dominated by nothing
-    int cur = b;
-    while (true) {
-        if (cur == a)
-            return true;
-        int up = idom[static_cast<std::size_t>(cur)];
-        if (up == cur || up < 0)
-            return false; // reached the entry (or fell off)
-        cur = up;
-    }
+    return graph::dominates(idom, a, b);
 }
 
 std::vector<int>
 reverse_postorder(const Cfg& cfg)
 {
-    std::vector<int> order;
-    if (cfg.blocks.empty())
-        return order;
-    std::vector<int> state(cfg.blocks.size(), 0); // 0 new 1 open 2 done
-    // Iterative DFS with an explicit stack of (block, next-succ).
-    std::vector<std::pair<int, std::size_t>> stack{{0, 0}};
-    state[0] = 1;
-    while (!stack.empty()) {
-        auto& [b, next] = stack.back();
-        const auto& succs = cfg.blocks[static_cast<std::size_t>(b)].succs;
-        if (next < succs.size()) {
-            int s = succs[next++];
-            if (state[static_cast<std::size_t>(s)] == 0) {
-                state[static_cast<std::size_t>(s)] = 1;
-                stack.emplace_back(s, 0);
-            }
-        } else {
-            state[static_cast<std::size_t>(b)] = 2;
-            order.push_back(b);
-            stack.pop_back();
-        }
-    }
-    std::reverse(order.begin(), order.end());
-    return order;
+    return graph::reverse_postorder(
+        static_cast<int>(cfg.blocks.size()), 0,
+        [&](int b) -> const std::vector<int>& {
+            return cfg.blocks[static_cast<std::size_t>(b)].succs;
+        });
 }
 
 DomTree
 dominator_tree(const Cfg& cfg)
 {
-    DomTree tree;
-    tree.idom.assign(cfg.blocks.size(), -1);
-    if (cfg.blocks.empty())
-        return tree;
-
-    std::vector<int> rpo = reverse_postorder(cfg);
-    std::vector<int> rpo_index(cfg.blocks.size(), -1);
-    for (std::size_t i = 0; i < rpo.size(); ++i)
-        rpo_index[static_cast<std::size_t>(rpo[i])] =
-            static_cast<int>(i);
-
-    auto intersect = [&](int a, int b) {
-        while (a != b) {
-            while (rpo_index[static_cast<std::size_t>(a)] >
-                   rpo_index[static_cast<std::size_t>(b)])
-                a = tree.idom[static_cast<std::size_t>(a)];
-            while (rpo_index[static_cast<std::size_t>(b)] >
-                   rpo_index[static_cast<std::size_t>(a)])
-                b = tree.idom[static_cast<std::size_t>(b)];
-        }
-        return a;
-    };
-
-    tree.idom[0] = 0;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int b : rpo) {
-            if (b == 0)
-                continue;
-            int new_idom = -1;
-            for (int p : cfg.blocks[static_cast<std::size_t>(b)].preds) {
-                if (tree.idom[static_cast<std::size_t>(p)] < 0)
-                    continue; // pred not yet processed / unreachable
-                new_idom = new_idom < 0 ? p : intersect(p, new_idom);
-            }
-            if (new_idom >= 0 &&
-                tree.idom[static_cast<std::size_t>(b)] != new_idom) {
-                tree.idom[static_cast<std::size_t>(b)] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    return tree;
+    return DomTree{graph::immediate_dominators(
+        static_cast<int>(cfg.blocks.size()), reverse_postorder(cfg),
+        [&](int b) -> const std::vector<int>& {
+            return cfg.blocks[static_cast<std::size_t>(b)].preds;
+        })};
 }
 
 } // namespace rock::cfg

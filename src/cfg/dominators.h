@@ -2,9 +2,8 @@
  * @file
  * Dominator computation over recovered CFGs.
  *
- * Implements the Cooper-Harvey-Kennedy "simple, fast dominance"
- * algorithm: iterate idom over a reverse-postorder sweep until
- * fixpoint, intersecting along the dominator tree. On the small
+ * A thin adapter over the Cooper-Harvey-Kennedy core in
+ * graph/dominators.h, rooted at the entry block. On the small
  * intra-procedural graphs VM32 produces this beats Lengauer-Tarjan in
  * both code size and constant factor.
  */

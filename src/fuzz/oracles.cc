@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -19,6 +20,7 @@
 #include "cache/artifact_cache.h"
 #include "cfg/verify.h"
 #include "eval/ground_truth.h"
+#include "graph/enumerate.h"
 #include "obs/report.h"
 #include "rock/classify.h"
 #include "rock/relaxed.h"
@@ -192,6 +194,48 @@ check_sound_elimination(const OracleContext& ctx)
                 "structural rules eliminated the true parent "
                 "%d -> %d",
                 p, c));
+    }
+    return pass();
+}
+
+/**
+ * The exact structural-ambiguity bit agrees with an unbudgeted search:
+ * on every family small enough to enumerate, "more than one min-root
+ * forest of the zero-weight skeleton" is re-decided by
+ * enumerate_min_forests with no step limit.
+ */
+OracleVerdict
+check_structural_ambiguity(const OracleContext& ctx)
+{
+    constexpr std::size_t kMaxMembers = 12;
+    const auto& result = ctx.fuzz_case.result;
+    const auto& sr = result.structural;
+    for (const auto& fam : result.families) {
+        const int m = static_cast<int>(fam.members.size());
+        if (fam.members.size() > kMaxMembers)
+            continue;
+        graph::Digraph skeleton(m);
+        for (int i = 0; i < m; ++i) {
+            for (int p : sr.possible_parents[static_cast<std::size_t>(
+                     fam.members[static_cast<std::size_t>(i)])]) {
+                auto it = std::lower_bound(fam.members.begin(),
+                                           fam.members.end(), p);
+                skeleton.add_edge(
+                    static_cast<int>(it - fam.members.begin()), i, 0.0);
+            }
+        }
+        const bool searched =
+            graph::enumerate_min_forests(
+                skeleton,
+                {0.0, 2, std::numeric_limits<long>::max()})
+                .size() > 1;
+        if (searched != fam.structurally_ambiguous)
+            return fail(support::format(
+                "family %d (%d members): structurally_ambiguous is %s "
+                "but unbudgeted enumeration finds %s",
+                fam.family_id, m,
+                fam.structurally_ambiguous ? "true" : "false",
+                searched ? "two or more forests" : "one forest"));
     }
     return pass();
 }
@@ -1379,6 +1423,11 @@ oracle_registry()
          "reconstruction, for distinct images sharing one analysis "
          "wave and for warm resubmissions out of the shared store",
          check_serve_differential},
+        {"structural-ambiguity",
+         "the exact structural-ambiguity bit of every family of 12 "
+         "members or fewer matches an unbudgeted enumeration of its "
+         "zero-weight skeleton",
+         check_structural_ambiguity},
     };
     return registry;
 }

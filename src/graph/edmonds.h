@@ -1,6 +1,8 @@
 /**
  * @file
- * Minimum-weight spanning arborescence (Chu-Liu/Edmonds, 1967).
+ * Minimum-weight spanning arborescence (Chu-Liu/Edmonds, 1967),
+ * computed with Tarjan's O(E log V) branching algorithm (Tarjan 1977;
+ * Gabow, Galil, Spencer and Tarjan 1986).
  *
  * The paper lifts pairwise type distances to the most likely class
  * hierarchy by solving this problem per type family (Section 4.2.2,
@@ -16,6 +18,11 @@
  *    optimizer therefore first minimizes the number of roots, then
  *    the total divergence; nodes kept under the super-root become
  *    roots of separate hierarchies (Remark 4.2).
+ *
+ * Tie-breaking is that of the level-by-level contraction: each
+ * (super-)node takes its cheapest in-edge by reduced weight, ties
+ * going to the lowest edge index. Every contracted cycle adds one to
+ * the counter graph.edmonds.contractions.
  */
 #pragma once
 
@@ -31,7 +38,8 @@ namespace rock::graph {
 struct Arborescence {
     /** parent[v] = chosen predecessor, or -1 when v is a root. */
     std::vector<int> parent;
-    /** Sum of chosen real-edge weights (root penalties excluded). */
+    /** Sum of chosen real-edge weights in node order (root
+     *  penalties excluded). */
     double weight = 0.0;
     /** Number of roots (nodes with parent -1). */
     int num_roots = 0;
@@ -40,8 +48,9 @@ struct Arborescence {
 /**
  * Minimum-weight spanning arborescence of @p graph rooted at @p root.
  *
- * @return std::nullopt when some node is unreachable from @p root.
- *         Deterministic tie-breaking (by edge insertion order).
+ * @return std::nullopt when some node is unreachable from @p root
+ *         (no contraction is counted then). Deterministic
+ *         tie-breaking (by edge insertion order).
  */
 std::optional<Arborescence> min_arborescence(const Digraph& graph,
                                              int root);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace rock::graph {
@@ -82,6 +83,10 @@ class Enumerator {
         return std::move(results_);
     }
 
+    /** Did the search stop on max_steps / max_results? */
+    bool step_budget_hit() const { return steps_ > config_.max_steps; }
+    bool result_cap_hit() const { return result_cap_hit_; }
+
   private:
     double
     cost_of(const Arborescence& arb) const
@@ -108,10 +113,12 @@ class Enumerator {
     void
     dfs(int v, double cost)
     {
-        if (static_cast<int>(results_.size()) >= config_.max_results ||
-            ++steps_ > config_.max_steps) {
+        if (static_cast<int>(results_.size()) >= config_.max_results) {
+            result_cap_hit_ = true;
             return;
         }
+        if (++steps_ > config_.max_steps)
+            return;
         if (v == n_) {
             Arborescence arb;
             arb.parent.assign(static_cast<std::size_t>(n_), -1);
@@ -159,6 +166,7 @@ class Enumerator {
     std::vector<int> parent_;
     std::vector<int> seed_;
     long steps_ = 0;
+    bool result_cap_hit_ = false;
     std::vector<Arborescence> results_;
 };
 
@@ -168,10 +176,21 @@ std::vector<Arborescence>
 enumerate_min_forests(const Digraph& graph,
                       const EnumerateConfig& config)
 {
+    // Answers cut short by a bound show up in the metrics. Both
+    // counters are touched on every call, so reports (and the counter
+    // deltas a cached stage replays) carry explicit zeros.
+    static obs::Counter& step_budget_hits =
+        obs::Registry::global().counter(
+            "graph.enumerate.step_budget_hits");
+    static obs::Counter& result_cap_hits =
+        obs::Registry::global().counter(
+            "graph.enumerate.result_cap_hits");
     if (graph.num_nodes() == 0)
         return {Arborescence{}};
     Enumerator e(graph, config);
     auto results = e.run();
+    step_budget_hits.add(e.step_budget_hit() ? 1 : 0);
+    result_cap_hits.add(e.result_cap_hit() ? 1 : 0);
     ROCK_ASSERT(!results.empty(),
                 "enumeration must find at least the optimum");
     return results;

@@ -23,14 +23,16 @@ namespace rock::graph {
 struct EnumerateConfig {
     /** Absolute weight slack admitted as "equally minimal". */
     double epsilon = 1e-9;
-    /** Cap on returned forests. */
+    /** Cap on returned forests. A search it cuts short bumps
+     *  graph.enumerate.result_cap_hits. */
     int max_results = 256;
     /**
      * Budget on search steps. Degenerate weight landscapes (many
      * zero-weight edges over large sparse families) can make the
      * branch-and-bound blow up; when the budget runs out, the
-     * forests found so far are returned. The Edmonds optimum is
-     * always among them.
+     * forests found so far are returned and
+     * graph.enumerate.step_budget_hits is bumped. The Edmonds
+     * optimum is always among them.
      */
     long max_steps = 2000000;
 };

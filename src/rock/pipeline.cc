@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "cache/artifact_cache.h"
+#include "graph/ambiguity.h"
 #include "graph/digraph.h"
 #include "graph/edmonds.h"
 #include "obs/metrics.h"
@@ -110,28 +111,21 @@ solve_family(const std::vector<int>& members,
         return sol;
     }
 
-    // Structural ambiguity: is there more than one zero-weight
-    // spanning forest over the feasible edges alone?
-    graph::Digraph skeleton(m);
-    for (int i = 0; i < m; ++i) {
-        int child = members[static_cast<std::size_t>(i)];
-        for (int p :
-             structural.possible_parents[static_cast<std::size_t>(
-                 child)]) {
-            skeleton.add_edge(member_pos(members, p), i, 0.0);
-        }
-    }
+    // Structural ambiguity: is there more than one min-root spanning
+    // forest over the feasible edges alone? Decided exactly (dominator
+    // test, graph/ambiguity.h), never under a search budget.
     {
-        // Zero-weight landscapes are the enumerator's worst case;
-        // a modest budget suffices to detect a second forest and
-        // errs toward "ambiguous" on truncation, never the
-        // reverse (the seed guarantees one result).
-        graph::EnumerateConfig probe;
-        probe.epsilon = 0.0;
-        probe.max_results = 2;
-        probe.max_steps = 200000;
+        graph::Digraph skeleton(m);
+        for (int i = 0; i < m; ++i) {
+            int child = members[static_cast<std::size_t>(i)];
+            for (int p :
+                 structural.possible_parents[static_cast<std::size_t>(
+                     child)]) {
+                skeleton.add_edge(member_pos(members, p), i, 0.0);
+            }
+        }
         sol.structurally_ambiguous =
-            graph::enumerate_min_forests(skeleton, probe).size() > 1;
+            graph::has_multiple_min_root_forests(skeleton);
     }
 
     // Behaviorally weighted graph. Edges fixed by rule-3
@@ -140,9 +134,9 @@ solve_family(const std::vector<int>& members,
     // chain over honoring them. Every non-forced feasible edge was
     // precomputed into `distances` by the distance stage -- except
     // those a solved subtype fact contradicts, which are pruned from
-    // the candidate graph entirely (the skeleton probe above stays
-    // raw: structural ambiguity is a property of the evidence, not of
-    // what typeinf resolved).
+    // the candidate graph entirely (the skeleton above stays raw:
+    // structural ambiguity is a property of the evidence, not of what
+    // typeinf resolved).
     graph::Digraph weighted(m);
     for (int i = 0; i < m; ++i) {
         int child = members[static_cast<std::size_t>(i)];

@@ -1,17 +1,21 @@
 /**
  * @file
  * Unit and property tests for the graph module: union-find,
- * Chu-Liu/Edmonds, and co-optimal enumeration.
+ * Chu-Liu/Edmonds, co-optimal enumeration and the exact
+ * structural-ambiguity test.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "support/error.h"
+#include "graph/ambiguity.h"
 #include "graph/digraph.h"
 #include "graph/edmonds.h"
 #include "graph/enumerate.h"
 #include "graph/union_find.h"
+#include "obs/metrics.h"
 #include "support/rng.h"
 
 namespace {
@@ -274,6 +278,99 @@ TEST(MinForest, NoEdgesAllRoots)
     EXPECT_EQ(forest.num_roots, 3);
 }
 
+std::uint64_t
+contractions()
+{
+    return rock::obs::Registry::global()
+        .counter("graph.edmonds.contractions")
+        .value();
+}
+
+/**
+ * Seeded integer-weight graph with many ties: n <= 12 nodes, weights
+ * in {0, 1, 2}, edges in random order with parallel edges allowed.
+ */
+Digraph
+tie_heavy_graph(std::uint64_t seed)
+{
+    rock::support::Rng rng(seed);
+    const int n = 1 + static_cast<int>(rng.index(12));
+    Digraph g(n);
+    if (n < 2)
+        return g;
+    const int m = static_cast<int>(
+        rng.index(static_cast<std::size_t>(2 * n * n) + 1));
+    for (int i = 0; i < m; ++i) {
+        const int u =
+            static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+        int v = static_cast<int>(
+            rng.index(static_cast<std::size_t>(n - 1)));
+        if (v >= u)
+            ++v;
+        g.add_edge(u, v, static_cast<double>(rng.uniform(0, 2)));
+    }
+    return g;
+}
+
+std::uint64_t
+fnv_mix(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(MinForest, TieBreakingMatchesLevelByLevelSolver)
+{
+    // Digest of (parent vector, num_roots, contractions) over 5000
+    // tie-heavy graphs, recorded from the level-by-level Chu-Liu/
+    // Edmonds solver this one replaced: the same cheapest reduced
+    // in-edge, ties to the lowest edge index, one contraction per
+    // cycle.
+    ASSERT_TRUE(rock::obs::metrics_enabled());
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t total_contractions = 0;
+    for (std::uint64_t seed = 1; seed <= 5000; ++seed) {
+        const Digraph g = tie_heavy_graph(seed);
+        const std::uint64_t before = contractions();
+        const Arborescence forest = min_forest(g);
+        const std::uint64_t contracted = contractions() - before;
+        total_contractions += contracted;
+        digest = fnv_mix(digest, static_cast<std::uint64_t>(g.num_nodes()));
+        for (int p : forest.parent)
+            digest = fnv_mix(digest, static_cast<std::uint64_t>(p + 1));
+        digest = fnv_mix(digest,
+                         static_cast<std::uint64_t>(forest.num_roots));
+        digest = fnv_mix(digest, contracted);
+    }
+    EXPECT_EQ(total_contractions, 15368u);
+    EXPECT_EQ(digest, 0x0ca04a0e584b176eull);
+}
+
+TEST(MinForest, ThousandsOfNestedContractions)
+{
+    // Chain 0 -> 1 -> ... -> n-1 at weight 0 plus back edges k -> 0
+    // at weight 1. Every contraction swallows exactly one more node:
+    // {0,1}, then {01,2}, ... -- n-1 nested cycles, one per level of
+    // the level-by-level formulation.
+    constexpr int n = 5000;
+    Digraph g(n);
+    for (int k = 1; k < n; ++k)
+        g.add_edge(k, 0, 1.0);
+    for (int i = 0; i + 1 < n; ++i)
+        g.add_edge(i, i + 1, 0.0);
+    const std::uint64_t before = contractions();
+    const Arborescence forest = min_forest(g);
+    EXPECT_EQ(contractions() - before, static_cast<std::uint64_t>(n - 1));
+    EXPECT_EQ(forest.num_roots, 1);
+    EXPECT_EQ(forest.weight, 0.0);
+    EXPECT_EQ(forest.parent[0], -1);
+    for (int v = 1; v < n; ++v)
+        ASSERT_EQ(forest.parent[static_cast<std::size_t>(v)], v - 1);
+}
+
 // ---------------------------------------------------------------------
 // Enumeration
 // ---------------------------------------------------------------------
@@ -354,6 +451,33 @@ TEST(Enumerate, RespectsMaxResults)
     EXPECT_EQ(forests.size(), 10u);
 }
 
+TEST(Enumerate, BudgetCountersRecordTruncatedSearches)
+{
+    auto& registry = rock::obs::Registry::global();
+    auto& step_hits = registry.counter("graph.enumerate.step_budget_hits");
+    auto& cap_hits = registry.counter("graph.enumerate.result_cap_hits");
+    Digraph g(4); // 64 equally minimal spanning arborescences
+    for (int u = 0; u < 4; ++u) {
+        for (int v = 0; v < 4; ++v) {
+            if (u != v)
+                g.add_edge(u, v, 1.0);
+        }
+    }
+    auto delta = [&](const EnumerateConfig& config) {
+        const std::uint64_t steps0 = step_hits.value();
+        const std::uint64_t caps0 = cap_hits.value();
+        enumerate_min_forests(g, config);
+        return std::pair{step_hits.value() - steps0,
+                         cap_hits.value() - caps0};
+    };
+    EXPECT_EQ(delta({1e-9, 1000, 2000000}),
+              (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
+    EXPECT_EQ(delta({1e-9, 10, 2000000}),
+              (std::pair<std::uint64_t, std::uint64_t>{0, 1}));
+    EXPECT_EQ(delta({1e-9, 1000, 5}),
+              (std::pair<std::uint64_t, std::uint64_t>{1, 0}));
+}
+
 TEST(Enumerate, EpsilonAdmitsNearOptimal)
 {
     Digraph g(2);
@@ -364,6 +488,87 @@ TEST(Enumerate, EpsilonAdmitsNearOptimal)
     EnumerateConfig loose;
     loose.epsilon = 1.0;
     EXPECT_EQ(enumerate_min_forests(g, loose).size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// Exact structural ambiguity
+// ---------------------------------------------------------------------
+
+/** Unbudgeted search for a second min-root forest. */
+bool
+searched_ambiguous(const Digraph& g)
+{
+    return enumerate_min_forests(
+               g, {0.0, 2, std::numeric_limits<long>::max()})
+               .size() > 1;
+}
+
+TEST(Ambiguity, MutualParentSourceCycleIsAmbiguous)
+{
+    // Either node of the source 2-cycle can be the root.
+    Digraph g(3);
+    g.add_edge(0, 1, 0.0);
+    g.add_edge(1, 0, 0.0);
+    g.add_edge(1, 2, 0.0);
+    EXPECT_TRUE(has_multiple_min_root_forests(g));
+    EXPECT_TRUE(searched_ambiguous(g));
+}
+
+TEST(Ambiguity, ChainIsUnambiguous)
+{
+    Digraph g(3);
+    g.add_edge(0, 1, 0.0);
+    g.add_edge(1, 2, 0.0);
+    EXPECT_FALSE(has_multiple_min_root_forests(g));
+    EXPECT_FALSE(searched_ambiguous(g));
+}
+
+TEST(Ambiguity, DiamondIsAmbiguous)
+{
+    // Node 3 can hang under 1 or 2.
+    Digraph g(4);
+    g.add_edge(0, 1, 0.0);
+    g.add_edge(0, 2, 0.0);
+    g.add_edge(1, 3, 0.0);
+    g.add_edge(2, 3, 0.0);
+    EXPECT_TRUE(has_multiple_min_root_forests(g));
+    EXPECT_TRUE(searched_ambiguous(g));
+}
+
+TEST(Ambiguity, BackEdgeIntoDominatingAncestorIsUnambiguous)
+{
+    // 2 -> 1 would close a cycle: 1 dominates 2, so 1's only usable
+    // parent is 0. Parallel edges do not count twice.
+    Digraph g(3);
+    g.add_edge(0, 1, 0.0);
+    g.add_edge(1, 2, 0.0);
+    g.add_edge(1, 2, 0.0);
+    g.add_edge(2, 1, 0.0);
+    EXPECT_FALSE(has_multiple_min_root_forests(g));
+    EXPECT_FALSE(searched_ambiguous(g));
+}
+
+TEST(Ambiguity, MatchesUnbudgetedEnumerationOnRandomGraphs)
+{
+    rock::support::Rng rng(2018);
+    int ambiguous = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        const int n = 1 + static_cast<int>(rng.index(9));
+        const double density = 0.05 + 0.4 * rng.real();
+        Digraph g(n);
+        for (int u = 0; u < n; ++u) {
+            for (int v = 0; v < n; ++v) {
+                if (u != v && rng.chance(density))
+                    g.add_edge(u, v, 0.0);
+            }
+        }
+        const bool exact = has_multiple_min_root_forests(g);
+        ASSERT_EQ(exact, searched_ambiguous(g)) << "trial " << trial;
+        ambiguous += exact ? 1 : 0;
+    }
+    // Both answers occur often enough to make the agreement count.
+    EXPECT_GT(ambiguous, 5000);
+    EXPECT_LT(ambiguous, 15000);
 }
 
 TEST(Digraph, RejectsBadEdges)
