@@ -306,10 +306,9 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
     // the pipeline runs with verification on). Sweeps are chunked by
     // instruction count so uneven corpora still balance.
     cache.build_all(pool);
-    support::ChunkPlan plan;
-    plan.costs = cache.costs().data();
+    const std::uint64_t* costs = cache.costs().data();
     std::vector<std::vector<bir::Instr>> bodies(num_functions);
-    pool.parallel_for(num_functions, plan, [&](std::size_t i) {
+    pool.parallel_for(num_functions, costs, [&](std::size_t i) {
         bodies[i] = cache.body(i);
     });
 
@@ -327,7 +326,7 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
     // modeled as an object, that object ends up with a vtable address
     // stored at offset 0.
     std::vector<FunctionAnalysis> phase_a(num_functions);
-    pool.parallel_for(num_functions, plan, [&](std::size_t i) {
+    pool.parallel_for(num_functions, costs, [&](std::size_t i) {
         phase_a[i] = cached_run(
             store, cache.content_hash(i), image.functions[i].addr,
             /*phase=*/0, fp_a, [&] {
@@ -355,7 +354,7 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
     const std::uint64_t fp_b =
         store ? mix_callees(fp_base, full_callees) : 0;
     std::vector<FunctionAnalysis> phase_b(num_functions);
-    pool.parallel_for(num_functions, plan, [&](std::size_t i) {
+    pool.parallel_for(num_functions, costs, [&](std::size_t i) {
         bool arg0_is_object =
             full_callees.count(image.functions[i].addr) != 0;
         phase_b[i] = cached_run(

@@ -54,9 +54,7 @@ CfgCache::build_all(support::ThreadPool& pool)
         byte_costs[i] =
             std::max<std::uint64_t>(1, image_.functions[i].size);
 
-    support::ChunkPlan plan;
-    plan.costs = byte_costs.data();
-    pool.parallel_for(n, plan, [&](std::size_t i) {
+    pool.parallel_for(n, byte_costs.data(), [&](std::size_t i) {
         cfgs_[i] = build_cfg(image_, image_.functions[i]);
         hashes_[i] = hash_function_bytes(image_, image_.functions[i]);
         costs_[i] = cfgs_[i].slots.size();

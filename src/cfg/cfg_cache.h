@@ -68,7 +68,7 @@ class CfgCache {
 
     /**
      * Per-function instruction-slot counts -- the natural cost vector
-     * for support::ChunkPlan over function-table sweeps. Requires
+     * for ThreadPool::parallel_for over function-table sweeps. Requires
      * built().
      */
     const std::vector<std::uint64_t>& costs() const { return costs_; }

@@ -431,9 +431,8 @@ verify_image(const bir::BinaryImage& image, support::ThreadPool& pool,
         image.functions.size());
     std::vector<VtableCandidates> per_function_candidates(
         image.functions.size());
-    support::ChunkPlan plan;
-    plan.costs = cache.costs().data();
-    pool.parallel_for(image.functions.size(), plan, [&](std::size_t f) {
+    pool.parallel_for(image.functions.size(), cache.costs().data(),
+                      [&](std::size_t f) {
         per_function[f] = verify_function_impl(
             image, cache.at(f), &per_function_candidates[f]);
     });

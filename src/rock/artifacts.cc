@@ -131,7 +131,6 @@ config_fingerprint(const RockConfig& config)
     h = mix_words(h, config.words);
     h = mix_double(h, config.tie_epsilon);
     h = mix(h, static_cast<std::uint64_t>(config.max_alternatives));
-    h = mix(h, config.handle_multiple_inheritance ? 1 : 0);
     h = mix(h, config.verify ? 1 : 0);
     h = mix(h, config.typeinf ? 1 : 0);
     h = mix_double(h, config.typeinf_discount);

@@ -582,12 +582,9 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         for (std::size_t pos = 0; pos < m; ++pos)
             member_costs[pos] =
                 type_costs[static_cast<std::size_t>(members[pos])];
-        support::ChunkPlan member_plan;
-        member_plan.costs = member_costs.data();
-
         std::vector<std::size_t> train_ids;
-        for (const support::Chunk& chunk :
-             support::plan_chunks(m, kTaskFanout, member_plan)) {
+        for (const support::Chunk& chunk : support::plan_chunks(
+                 m, kTaskFanout, member_costs.data())) {
             train_ids.push_back(tasks.size());
             tasks.push_back(
                 {[&, f, chunk, need_words]() {
@@ -644,10 +641,9 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
 
         std::vector<std::size_t> dist_ids;
         if (ee > eb) {
-            support::ChunkPlan edge_plan;
-            edge_plan.costs = edge_costs.data() + eb;
             const std::vector<support::Chunk> chunks =
-                support::plan_chunks(ee - eb, kTaskFanout, edge_plan);
+                support::plan_chunks(ee - eb, kTaskFanout,
+                                     edge_costs.data() + eb);
             dist_captured[static_cast<std::size_t>(f)].resize(
                 chunks.size());
             for (std::size_t k = 0; k < chunks.size(); ++k) {

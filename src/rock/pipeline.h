@@ -53,8 +53,6 @@ struct RockConfig {
     double tie_epsilon = 1e-6;
     /** Cap on enumerated co-optimal forests per family. */
     int max_alternatives = 64;
-    /** Merge secondary-vtable parents into primary types (MI). */
-    bool handle_multiple_inheritance = true;
     /**
      * Run the rockcheck verifier (cfg/verify.h) over the image before
      * analyzing it and surface its findings in

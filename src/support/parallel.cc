@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <queue>
 #include <stdexcept>
 
@@ -10,6 +11,13 @@
 namespace rock::support {
 
 namespace {
+
+/**
+ * Chunks planned per worker: >1 lets fast workers take the slack of
+ * slow ones, while 4 keeps dispatch overhead ~1/4W of the loop and
+ * bounds the imbalance to about one chunk.
+ */
+constexpr std::size_t kChunksPerWorker = 4;
 
 /**
  * Pool telemetry. Loop/item counts depend only on the call sequence,
@@ -48,6 +56,92 @@ ms_between(std::chrono::steady_clock::time_point a,
 
 } // namespace
 
+/**
+ * Scheduling state of one run_tasks()/parallel_for() call. Everything
+ * but the read-only `tasks` is guarded by the pool mutex.
+ */
+struct ThreadPool::Graph {
+    Graph(const std::vector<Task>& graph_tasks, std::size_t workers)
+        : tasks(graph_tasks), pending(graph_tasks.size(), 0),
+          dependents(graph_tasks.size()), busy_ms(workers, 0.0)
+    {
+        const std::size_t n = tasks.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t d : tasks[i].deps) {
+                if (d >= n) {
+                    throw std::runtime_error(
+                        "run_tasks: dependency index out of range");
+                }
+                dependents[d].push_back(i);
+                ++pending[i];
+            }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            if (pending[i] == 0)
+                ready.push(i);
+        }
+    }
+
+    /**
+     * Claim the lowest ready task, run it with @p lock released
+     * (skipping it once an error is recorded), then release its
+     * dependents. Requires !ready.empty(). The lowest-index-first
+     * order is a valid topological order and, run by one thread, the
+     * one fixed serial schedule of the size-1 pool.
+     */
+    void
+    run_one(std::unique_lock<std::mutex>& lock, std::size_t worker)
+    {
+        const std::size_t t = ready.top();
+        ready.pop();
+        ++running;
+        const bool cancelled = error != nullptr;
+        lock.unlock();
+        std::exception_ptr thrown;
+        double busy = 0.0;
+        if (!cancelled) {
+            const auto t0 = std::chrono::steady_clock::now();
+            try {
+                tasks[t].fn();
+            } catch (...) {
+                thrown = std::current_exception();
+            }
+            busy = ms_between(t0, std::chrono::steady_clock::now());
+        }
+        lock.lock();
+        if (thrown && !error)
+            error = thrown;
+        busy_ms[worker] += busy;
+        --running;
+        ++finished;
+        for (std::size_t d : dependents[t]) {
+            if (--pending[d] == 0)
+                ready.push(d);
+        }
+    }
+
+    /** Nothing is ready and nothing runs: done, or stuck on a cycle. */
+    bool
+    drained() const
+    {
+        return ready.empty() && running == 0;
+    }
+
+    const std::vector<Task>& tasks;
+    /** Unfinished deps per task. */
+    std::vector<std::size_t> pending;
+    std::vector<std::vector<std::size_t>> dependents;
+    std::priority_queue<std::size_t, std::vector<std::size_t>,
+                        std::greater<std::size_t>>
+        ready;
+    std::size_t running = 0;
+    std::size_t finished = 0;
+    /** First exception thrown; cancels every task not yet started. */
+    std::exception_ptr error;
+    /** Per-worker time spent in task bodies. */
+    std::vector<double> busy_ms;
+};
+
 int
 resolve_threads(int threads)
 {
@@ -59,27 +153,21 @@ resolve_threads(int threads)
 
 std::vector<Chunk>
 plan_chunks(std::size_t count, std::size_t workers,
-            const ChunkPlan& plan)
+            const std::uint64_t* costs)
 {
     std::vector<Chunk> chunks;
     if (count == 0)
         return chunks;
-    std::size_t grain = std::max<std::size_t>(1, plan.grain);
-    std::size_t target_chunks =
-        std::max<std::size_t>(1, workers) *
-        std::max<std::size_t>(1, plan.chunks_per_worker);
-    target_chunks = std::min(target_chunks, (count + grain - 1) / grain);
-    target_chunks = std::max<std::size_t>(1, target_chunks);
+    const std::size_t target = std::min(
+        count, std::max<std::size_t>(1, workers) * kChunksPerWorker);
 
-    if (!plan.costs) {
+    if (!costs) {
         // Uniform items: equal-count contiguous slices.
-        std::size_t base = count / target_chunks;
-        std::size_t extra = count % target_chunks;
+        std::size_t base = count / target;
+        std::size_t extra = count % target;
         std::size_t begin = 0;
-        for (std::size_t c = 0; c < target_chunks; ++c) {
+        for (std::size_t c = 0; c < target; ++c) {
             std::size_t len = base + (c < extra ? 1 : 0);
-            if (len == 0)
-                continue;
             chunks.push_back({begin, begin + len});
             begin += len;
         }
@@ -87,21 +175,19 @@ plan_chunks(std::size_t count, std::size_t workers,
     }
 
     // Cost-balanced: cut whenever the cumulative cost passes the next
-    // multiple of total/target (respecting the grain). Zero-cost items
-    // are charged 1 so degenerate cost vectors still partition.
+    // multiple of total/target. Zero-cost items are charged 1 so
+    // degenerate cost vectors still partition.
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < count; ++i)
-        total += std::max<std::uint64_t>(1, plan.costs[i]);
+        total += std::max<std::uint64_t>(1, costs[i]);
     std::uint64_t per_chunk = std::max<std::uint64_t>(
-        1, total / static_cast<std::uint64_t>(target_chunks));
+        1, total / static_cast<std::uint64_t>(target));
 
     std::size_t begin = 0;
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        acc += std::max<std::uint64_t>(1, plan.costs[i]);
-        bool last = i + 1 == count;
-        bool full = acc >= per_chunk && (i + 1 - begin) >= grain;
-        if (last || full) {
+        acc += std::max<std::uint64_t>(1, costs[i]);
+        if (i + 1 == count || acc >= per_chunk) {
             chunks.push_back({begin, i + 1});
             begin = i + 1;
             acc = 0;
@@ -141,291 +227,103 @@ ThreadPool::size() const
 }
 
 void
-ThreadPool::run_generation(std::size_t count,
-                           const std::function<void(std::size_t)>& body)
-{
-    PoolMetrics& metrics = pool_metrics();
-    auto t0 = std::chrono::steady_clock::now();
-    std::unique_lock<std::mutex> lock(mutex_);
-    body_ = &body;
-    count_ = count;
-    error_ = nullptr;
-    busy_ms_accum_ = 0.0;
-    active_ = num_workers_;
-    ++generation_;
-    work_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return active_ == 0; });
-    body_ = nullptr;
-    chunks_ = nullptr;
-    double wall = ms_between(t0, std::chrono::steady_clock::now());
-    if (wall > 0.0) {
-        metrics.utilization.set(
-            busy_ms_accum_ /
-            (wall * static_cast<double>(num_workers_)));
-    }
-    if (error_) {
-        std::exception_ptr err = error_;
-        error_ = nullptr;
-        std::rethrow_exception(err);
-    }
-}
-
-void
-ThreadPool::parallel_for(std::size_t count,
+ThreadPool::parallel_for(std::size_t count, const std::uint64_t* costs,
                          const std::function<void(std::size_t)>& body)
 {
     PoolMetrics& metrics = pool_metrics();
     metrics.loops.add();
     metrics.items.add(count);
-    metrics.workers.set(static_cast<double>(num_workers_));
-
-    // Serial pool, tiny loop: run inline so `threads=1` executes the
-    // exact instruction stream of a plain for loop.
-    if (workers_.empty() || count < 2) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < count; ++i)
-            body(i);
-        double busy =
-            ms_between(t0, std::chrono::steady_clock::now());
-        metrics.busy_ms.observe(busy);
-        metrics.utilization.set(1.0);
-        return;
-    }
-
-    run_generation(count, body);
-}
-
-void
-ThreadPool::parallel_for(std::size_t count, const ChunkPlan& plan,
-                         const std::function<void(std::size_t)>& body)
-{
-    PoolMetrics& metrics = pool_metrics();
-    metrics.loops.add();
-    metrics.items.add(count);
-    metrics.workers.set(static_cast<double>(num_workers_));
-
-    std::vector<Chunk> chunks = plan_chunks(count, num_workers_, plan);
+    const std::vector<Chunk> chunks =
+        plan_chunks(count, num_workers_, costs);
     // Chunk counts depend on the pool size, so they live in the
     // timing (non-gated) section as a histogram, not a counter.
     metrics.chunks.observe(static_cast<double>(chunks.size()));
 
-    if (workers_.empty() || chunks.size() < 2) {
-        // Inline: chunks in index order == the plain serial loop.
-        auto t0 = std::chrono::steady_clock::now();
-        for (const Chunk& c : chunks) {
-            for (std::size_t i = c.begin; i < c.end; ++i)
-                body(i);
-        }
-        double busy =
-            ms_between(t0, std::chrono::steady_clock::now());
-        metrics.busy_ms.observe(busy);
-        metrics.utilization.set(1.0);
-        return;
+    std::vector<Task> tasks;
+    tasks.reserve(chunks.size());
+    for (const Chunk& c : chunks) {
+        tasks.push_back({[&body, c] {
+                             for (std::size_t i = c.begin; i < c.end; ++i)
+                                 body(i);
+                         },
+                         {}});
     }
-
-    chunks_ = &chunks;
-    next_chunk_.store(0, std::memory_order_relaxed);
-    run_generation(count, body);
+    execute(tasks);
 }
 
 void
-ThreadPool::run_tasks(std::vector<Task>& tasks)
+ThreadPool::run_tasks(const std::vector<Task>& tasks)
 {
     PoolMetrics& metrics = pool_metrics();
     metrics.loops.add();
     metrics.items.add(tasks.size());
+    execute(tasks);
+}
+
+void
+ThreadPool::execute(const std::vector<Task>& tasks)
+{
+    PoolMetrics& metrics = pool_metrics();
     metrics.workers.set(static_cast<double>(num_workers_));
     if (tasks.empty())
         return;
 
-    const std::size_t n = tasks.size();
-    std::vector<std::size_t> pending(n, 0);
-    std::vector<std::vector<std::size_t>> dependents(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t d : tasks[i].deps) {
-            if (d >= n) {
-                throw std::runtime_error(
-                    "run_tasks: dependency index out of range");
-            }
-            dependents[d].push_back(i);
-            ++pending[i];
+    Graph graph(tasks, num_workers_);
+    // A serial pool, or a single task, runs inline on the caller.
+    const bool threaded = !workers_.empty() && tasks.size() > 1;
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (threaded) {
+            graph_ = &graph;
+            work_cv_.notify_all();
+            done_cv_.wait(lock, [&] { return graph.drained(); });
+            graph_ = nullptr;
+        } else {
+            while (!graph.ready.empty())
+                graph.run_one(lock, 0);
         }
     }
-
-    // Lowest ready index first: a valid topological order that is
-    // also the one fixed serial schedule of the size-1 pool.
-    std::priority_queue<std::size_t, std::vector<std::size_t>,
-                        std::greater<std::size_t>>
-        ready;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (pending[i] == 0)
-            ready.push(i);
+    const double wall =
+        ms_between(t0, std::chrono::steady_clock::now());
+    const std::size_t used = threaded ? num_workers_ : 1;
+    double busy = 0.0;
+    for (std::size_t w = 0; w < used; ++w) {
+        metrics.busy_ms.observe(graph.busy_ms[w]);
+        busy += graph.busy_ms[w];
     }
+    if (wall > 0.0)
+        metrics.utilization.set(busy /
+                                (wall * static_cast<double>(used)));
 
-    std::size_t remaining = n;
-    std::exception_ptr first_error;
-    bool cancelled = false;
-
-    auto finish_task = [&](std::size_t t) {
-        --remaining;
-        for (std::size_t dep : dependents[t]) {
-            if (--pending[dep] == 0)
-                ready.push(dep);
-        }
-    };
-
-    if (workers_.empty() || n < 2) {
-        auto t0 = std::chrono::steady_clock::now();
-        while (remaining > 0) {
-            if (ready.empty())
-                throw std::runtime_error(
-                    "run_tasks: unsatisfiable dependencies");
-            std::size_t t = ready.top();
-            ready.pop();
-            if (!cancelled) {
-                try {
-                    tasks[t].fn();
-                } catch (...) {
-                    if (!first_error)
-                        first_error = std::current_exception();
-                    cancelled = true;
-                }
-            }
-            finish_task(t);
-        }
-        metrics.busy_ms.observe(
-            ms_between(t0, std::chrono::steady_clock::now()));
-        metrics.utilization.set(1.0);
-        if (first_error)
-            std::rethrow_exception(first_error);
-        return;
+    if (!graph.error && graph.finished < tasks.size()) {
+        // Nothing ready, nothing running, tasks left: a cycle.
+        throw std::runtime_error(
+            "run_tasks: unsatisfiable dependencies");
     }
-
-    std::mutex m;
-    std::condition_variable cv;
-    std::size_t running = 0;
-    std::function<void(std::size_t)> body = [&](std::size_t) {
-        std::unique_lock<std::mutex> lock(m);
-        for (;;) {
-            while (ready.empty() && remaining > 0 && running > 0)
-                cv.wait(lock);
-            if (remaining == 0) {
-                cv.notify_all();
-                return;
-            }
-            if (ready.empty()) {
-                // No runnable task, none in flight, work left: the
-                // graph cannot make progress (dependency cycle).
-                if (!first_error) {
-                    first_error =
-                        std::make_exception_ptr(std::runtime_error(
-                            "run_tasks: unsatisfiable dependencies"));
-                }
-                cancelled = true;
-                remaining = 0;
-                cv.notify_all();
-                return;
-            }
-            std::size_t t = ready.top();
-            ready.pop();
-            ++running;
-            bool skip = cancelled;
-            lock.unlock();
-            if (!skip) {
-                try {
-                    tasks[t].fn();
-                } catch (...) {
-                    lock.lock();
-                    if (!first_error)
-                        first_error = std::current_exception();
-                    cancelled = true;
-                    lock.unlock();
-                }
-            }
-            lock.lock();
-            --running;
-            finish_task(t);
-            if (remaining == 0 || !ready.empty())
-                cv.notify_all();
-        }
-    };
-    run_generation(num_workers_, body);
-    if (first_error)
-        std::rethrow_exception(first_error);
+    if (graph.error)
+        std::rethrow_exception(graph.error);
 }
 
 void
-ThreadPool::worker_loop(std::size_t worker_index)
+ThreadPool::worker_loop(std::size_t worker)
 {
-    const std::size_t stride = num_workers_;
-    std::size_t seen_generation = 0;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        std::size_t count;
-        const std::function<void(std::size_t)>* body;
-        const std::vector<Chunk>* chunks;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            work_cv_.wait(lock, [&] {
-                return stop_ || generation_ != seen_generation;
-            });
-            if (stop_)
-                return;
-            seen_generation = generation_;
-            count = count_;
-            body = body_;
-            chunks = chunks_;
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        try {
-            if (chunks) {
-                // Dynamic dispatch: idle workers claim the next
-                // unstarted chunk. Placement depends on scheduling;
-                // per-item effects never do (slot-confined writes).
-                for (;;) {
-                    std::size_t c = next_chunk_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (c >= chunks->size())
-                        break;
-                    const Chunk& chunk = (*chunks)[c];
-                    for (std::size_t i = chunk.begin; i < chunk.end;
-                         ++i)
-                        (*body)(i);
-                }
-            } else {
-                // Static stride partition: worker w owns w, w+W,
-                // w+2W... The assignment depends only on (index, pool
-                // size), never on scheduling, so any per-item effects
-                // are reproducible.
-                for (std::size_t i = worker_index; i < count;
-                     i += stride)
-                    (*body)(i);
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!error_)
-                error_ = std::current_exception();
-        }
-        double busy =
-            ms_between(t0, std::chrono::steady_clock::now());
-        pool_metrics().busy_ms.observe(busy);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            busy_ms_accum_ += busy;
-            if (--active_ == 0)
-                done_cv_.notify_all();
-        }
+        work_cv_.wait(lock, [this] {
+            return stop_ || (graph_ && !graph_->ready.empty());
+        });
+        if (stop_)
+            return;
+        Graph& graph = *graph_;
+        graph.run_one(lock, worker);
+        // This worker claims the next ready task itself; wake the
+        // others only for the rest.
+        if (graph.ready.size() > 1)
+            work_cv_.notify_all();
+        else if (graph.drained())
+            done_cv_.notify_one();
     }
-}
-
-void
-parallel_for(std::size_t count, int threads,
-             const std::function<void(std::size_t)>& body)
-{
-    int n = std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(1, threads)),
-        std::max<std::size_t>(1, count));
-    ThreadPool pool(static_cast<int>(n));
-    pool.parallel_for(count, body);
 }
 
 } // namespace rock::support

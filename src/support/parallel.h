@@ -7,40 +7,31 @@
  * procedures -- makes every expensive pipeline stage embarrassingly
  * parallel over independent work items (functions, types, edges,
  * families). This header provides the one concurrency primitive the
- * code base uses:
+ * code base uses: ThreadPool, a fixed-size pool of workers with one
+ * scheduler.
  *
- *  - ThreadPool: a small fixed-size pool of workers that executes
- *    index-space loops (`parallel_for`). A pool of size 1 runs the
- *    loop inline on the caller, making the serial path *exactly* the
- *    code the parallel path runs.
+ * The scheduler runs a dependency graph of tasks (`run_tasks`): idle
+ * workers claim the lowest-index ready task from a shared queue. An
+ * index-space loop (`parallel_for`) is the dependency-free special
+ * case: plan_chunks() cuts [0, count) into contiguous chunks of
+ * roughly equal *cost* (per-item costs supplied by the caller, e.g.
+ * instruction counts), one task per chunk, so one expensive item
+ * cannot serialize the tail of the loop. A pool of size 1 runs the
+ * ready tasks inline on the caller in ascending index order; for a
+ * loop that is exactly the plain serial `for`.
  *
- * Two scheduling modes are offered:
- *
- *  - Static stride (legacy `parallel_for(count, body)`): worker w
- *    handles indices w, w+W, w+2W, ... Zero planning cost; fine for
- *    uniform items.
- *  - Cost-aware dynamic chunks (`parallel_for(count, plan, body)`):
- *    the index space is pre-partitioned into contiguous chunks of
- *    roughly equal *cost* (per-item costs supplied by the caller,
- *    e.g. instruction counts), and idle workers claim the next
- *    unstarted chunk from a shared atomic cursor -- cheap work
- *    stealing at chunk granularity, so one expensive item cannot
- *    serialize the tail of the loop.
- *
- * Determinism contract (both modes): every item writes only its own
- * pre-allocated output slot and callers merge slots in index order
- * afterwards. Chunk *placement* varies with scheduling, but the
- * item->slot mapping never does, so the observable output is
- * bit-identical for every thread count and every schedule, which
- * tests/determinism_test.cc enforces end to end.
+ * Determinism contract: every item writes only its own pre-allocated
+ * output slot and callers merge slots in index order afterwards. Task
+ * *placement* varies with scheduling, but the item->slot mapping never
+ * does, so the observable output is bit-identical for every thread
+ * count and every schedule, which tests/determinism_test.cc enforces
+ * end to end.
  */
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -54,29 +45,6 @@ namespace rock::support {
  * max(1, threads).
  */
 int resolve_threads(int threads);
-
-/**
- * How to carve an index space into dynamically scheduled chunks.
- * Pass to ThreadPool::parallel_for(count, plan, body).
- */
-struct ChunkPlan {
-    /**
-     * Optional per-item costs (any non-negative unit: instruction
-     * counts, byte sizes, symbol counts). When set, chunk boundaries
-     * equalize cumulative cost instead of item count; items of zero
-     * cost are charged a floor of 1 so empty items still make
-     * progress. Must contain exactly `count` entries when non-null.
-     */
-    const std::uint64_t* costs = nullptr;
-    /** Minimum items per chunk (amortizes dispatch; default 1). */
-    std::size_t grain = 1;
-    /**
-     * Target chunks per worker. >1 lets fast workers steal the slack
-     * of slow ones; the default 4 keeps dispatch overhead ~1/4W of
-     * the loop while bounding imbalance to ~1 chunk.
-     */
-    std::size_t chunks_per_worker = 4;
-};
 
 /** One contiguous [begin, end) slice of the index space. */
 struct Chunk {
@@ -94,27 +62,35 @@ struct Task {
 };
 
 /**
- * Partition [0, count) into contiguous chunks of roughly equal cost
- * for @p workers workers under @p plan. Deterministic: depends only
- * on (count, costs, workers, plan), never on scheduling.
+ * Partition [0, count) into at most 4 contiguous chunks per worker
+ * (never more chunks than items). With @p costs null the chunks hold
+ * equal item counts; otherwise @p costs holds `count` non-negative
+ * per-item costs (instruction counts, byte sizes, symbol counts) and
+ * chunk boundaries equalize cumulative cost, charging zero-cost items
+ * 1. Deterministic: depends only on (count, workers, costs), never on
+ * scheduling.
  */
 std::vector<Chunk> plan_chunks(std::size_t count, std::size_t workers,
-                               const ChunkPlan& plan);
+                               const std::uint64_t* costs);
 
 /**
- * Fixed-size worker pool for index-space loops.
+ * Fixed-size worker pool.
  *
- * One pool can serve many parallel_for calls (the pipeline reuses a
- * single pool across all its stages); calls are serialized -- the
- * pool runs one loop at a time and parallel_for blocks until the
- * whole index space is done.
+ * One pool serves many calls (the pipeline reuses a single pool
+ * across all its stages); calls are serialized -- the pool runs one
+ * graph at a time and each call blocks until its graph has drained.
+ *
+ * Exceptions: the first exception thrown by a task or loop body
+ * cancels every task not yet started (their bodies never run) and is
+ * rethrown on the caller once the running tasks have finished. The
+ * pool stays usable afterwards.
  */
 class ThreadPool {
   public:
     /**
      * @param threads  resolved worker count (see resolve_threads());
      *                 <= 1 creates no worker threads and runs every
-     *                 loop inline on the calling thread.
+     *                 call inline on the calling thread.
      */
     explicit ThreadPool(int threads);
     ~ThreadPool();
@@ -122,28 +98,15 @@ class ThreadPool {
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /** Number of threads that execute loop bodies (>= 1). */
+    /** Number of threads that execute task bodies (>= 1). */
     int size() const;
 
     /**
-     * Run @p body(i) for every i in [0, count), statically strided
-     * over the workers, and block until all of them finish. The first
-     * exception thrown by any body is rethrown on the caller after
-     * the loop has quiesced (remaining items of the throwing worker's
-     * stride are skipped; other workers complete their strides).
+     * Run @p body(i) for every i in [0, count): one dependency-free
+     * task per plan_chunks(count, size(), @p costs) chunk, each
+     * running its indices in order.
      */
-    void parallel_for(std::size_t count,
-                      const std::function<void(std::size_t)>& body);
-
-    /**
-     * Run @p body(i) for every i in [0, count) over cost-balanced
-     * chunks claimed dynamically by idle workers. Same blocking and
-     * exception semantics as the static overload; a worker that
-     * throws abandons the remainder of its current chunk but other
-     * chunks still run. A pool of size 1 executes the chunks in
-     * index order inline -- the exact serial instruction stream.
-     */
-    void parallel_for(std::size_t count, const ChunkPlan& plan,
+    void parallel_for(std::size_t count, const std::uint64_t* costs,
                       const std::function<void(std::size_t)>& body);
 
     /**
@@ -154,57 +117,33 @@ class ThreadPool {
      * chains (one per family) flow through the pool concurrently with
      * no global barrier between pipeline stages.
      *
-     * Determinism contract: like parallel_for, each task must write
-     * only its own slots; the task *count* and graph shape must not
-     * depend on the worker count (they feed the deterministic
-     * `threadpool.items` counter). A pool of size 1 runs ready tasks
-     * inline in ascending index order -- a valid topological order and
-     * the exact serial schedule every time.
-     *
-     * The first exception thrown by a task cancels every task not yet
-     * started (their fns never run) and is rethrown here after the
-     * graph drains. A graph with unsatisfiable deps (cycle,
-     * out-of-range index) throws without deadlocking.
+     * The task *count* and graph shape must not depend on the worker
+     * count (they feed the deterministic `threadpool.items` counter).
+     * A graph with an out-of-range dep throws before any task runs;
+     * one with a cycle throws "unsatisfiable dependencies" once
+     * nothing else can run, without deadlocking.
      */
-    void run_tasks(std::vector<Task>& tasks);
+    void run_tasks(const std::vector<Task>& tasks);
 
   private:
-    void worker_loop(std::size_t worker_index);
-    void run_generation(
-        std::size_t count,
-        const std::function<void(std::size_t)>& body);
+    struct Graph;
+
+    void execute(const std::vector<Task>& tasks);
+    void worker_loop(std::size_t worker);
 
     /** Worker count fixed before any thread starts (1 = inline). */
     std::size_t num_workers_ = 1;
-    std::vector<std::thread> workers_;
 
     std::mutex mutex_;
+    /** Workers wait here for ready tasks. */
     std::condition_variable work_cv_;
+    /** The caller waits here for its graph to drain. */
     std::condition_variable done_cv_;
-    /** Incremented per parallel_for call; wakes the workers. */
-    std::size_t generation_ = 0;
-    /** Workers still running the current generation. */
-    std::size_t active_ = 0;
-    std::size_t count_ = 0;
-    const std::function<void(std::size_t)>* body_ = nullptr;
-    /** Non-null selects dynamic chunk dispatch for the generation. */
-    const std::vector<Chunk>* chunks_ = nullptr;
-    /** Next unclaimed chunk index of the current generation. */
-    std::atomic<std::size_t> next_chunk_{0};
-    std::exception_ptr error_;
-    /** Worker busy-ms summed over the current generation (feeds the
-     *  `threadpool.utilization` gauge; see src/obs). */
-    double busy_ms_accum_ = 0.0;
+    /** Graph being run by the workers, or null; guarded by mutex_. */
+    Graph* graph_ = nullptr;
     bool stop_ = false;
-};
 
-/**
- * One-shot convenience: run @p body over [0, count) on
- * resolve_threads(@p threads) workers. Spawns (and joins) a transient
- * pool when threads > 1; callers with several loops should hold a
- * ThreadPool instead.
- */
-void parallel_for(std::size_t count, int threads,
-                  const std::function<void(std::size_t)>& body);
+    std::vector<std::thread> workers_;
+};
 
 } // namespace rock::support

@@ -511,9 +511,8 @@ generate_constraints(const bir::BinaryImage& image,
     std::vector<std::uint64_t> group_costs(group_rep.size(), 1);
     for (std::size_t g = 0; g < group_rep.size(); ++g)
         group_costs[g] = cache.costs()[group_rep[g]];
-    support::ChunkPlan plan;
-    plan.costs = group_costs.data();
-    pool.parallel_for(group_rep.size(), plan, [&](std::size_t g) {
+    pool.parallel_for(group_rep.size(), group_costs.data(),
+                      [&](std::size_t g) {
         const auto scan = [&] {
             FunctionScanner scanner(image, cache.at(group_rep[g]),
                                     vtable_addrs);

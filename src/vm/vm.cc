@@ -813,7 +813,10 @@ Interpreter::run_image(int threads) const
     const std::size_t variants = config_.opaque_values.size();
     const std::size_t total = image_.functions.size() * variants;
     std::vector<VmResult> slots(total);
-    support::parallel_for(total, threads, [&](std::size_t i) {
+    support::ThreadPool pool(static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(support::resolve_threads(threads)),
+        std::max<std::size_t>(1, total))));
+    pool.parallel_for(total, nullptr, [&](std::size_t i) {
         std::size_t fi = i / variants;
         std::size_t vi = i % variants;
         slots[i] = run_entry(fi, config_.opaque_values[vi]);

@@ -216,8 +216,9 @@ class Interpreter {
 
     /**
      * Execute every function x every configured opaque value and
-     * merge in (function, opaque) order. @p threads as in
-     * support::resolve_threads; the merged result is bit-identical
+     * merge in (function, opaque) order on
+     * min(support::resolve_threads(@p threads), runs) workers, so 0
+     * means hardware concurrency. The merged result is bit-identical
      * for every thread count. Records vm.* counters in rock::obs.
      */
     VmResult run_image(int threads = 1) const;

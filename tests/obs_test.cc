@@ -34,7 +34,7 @@ TEST(Metrics, CounterSumExactUnderParallelFor)
         obs::Registry::global().counter("test.parallel_sum");
     support::ThreadPool pool(4);
     constexpr std::size_t kItems = 20000;
-    pool.parallel_for(kItems, [&](std::size_t i) {
+    pool.parallel_for(kItems, nullptr, [&](std::size_t i) {
         c.add();
         if (i % 2 == 0)
             c.add(2);

@@ -10,12 +10,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "analysis/analyze.h"
 #include "bir/builder.h"
 #include "corpus/examples.h"
 #include "obs/metrics.h"
+#include "support/parallel.h"
 #include "toyc/compiler.h"
 #include "vm/coverage.h"
 #include "vm/vm.h"
@@ -625,6 +627,28 @@ TEST(VmDeterminism, BitIdenticalAcrossRunsAndThreadCounts)
     EXPECT_TRUE(serial == hw);
     EXPECT_GT(serial.stats.steps, 0u);
     EXPECT_GT(serial.coverage.size(), 0u);
+}
+
+TEST(VmThreads, ZeroThreadsRunsOnHardwareConcurrency)
+{
+    // 0 means hardware concurrency, as for every other threads knob,
+    // capped at the number of (function, opaque) runs.
+    corpus::CorpusProgram prog = corpus::echoparams_program();
+    toyc::CompileResult built =
+        toyc::compile(prog.program, prog.options);
+    auto analysis = analysis::analyze(built.image);
+    VmConfig config;
+    Interpreter interp(built.image, analysis, config);
+    const std::size_t runs =
+        built.image.functions.size() * config.opaque_values.size();
+
+    obs::Gauge& workers =
+        obs::Registry::global().gauge("threadpool.workers");
+    interp.run_image(0);
+    EXPECT_EQ(workers.value(),
+              static_cast<double>(std::min<std::size_t>(
+                  static_cast<std::size_t>(support::resolve_threads(0)),
+                  runs)));
 }
 
 // ---- coverage fingerprints -----------------------------------------------

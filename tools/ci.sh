@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate for the repository, in five legs:
+# CI gate for the repository, in six legs:
 #
 #  1. tier1: the tier-1 verify line (ROADMAP.md): default build, full
 #     ctest suite, 200-seed rockfuzz campaign;
@@ -7,13 +7,17 @@
 #     of the same suite -- including the explicit determinism_asan /
 #     determinism_ubsan / cfg_asan / cfg_ubsan / serve_asan entries --
 #     plus a 50-seed rockfuzz smoke under instrumentation;
-#  3. vm: rockvm runs every built-in corpus image trap-free, then a
+#  3. tsan: a ThreadSanitizer build (-DROCK_SANITIZE=thread) running
+#     the `_tsan` ctest entries -- determinism_tsan, serve_tsan and
+#     support_tsan -- so the determinism contract and the ThreadPool
+#     scheduler are race-checked on the runner's cores;
+#  4. vm: rockvm runs every built-in corpus image trap-free, then a
 #     50-seed coverage-guided rockfuzz campaign restricted to the
 #     vm-differential oracle (dynamic tracelets under rockvm are a
 #     subset of the static symexec sets); repro files are kept on
 #     failure like every other fuzz leg, and the campaign's metrics
 #     JSON lands in the ROCK_CI_ARTIFACTS dir when one is set;
-#  4. perf: bench/pipeline_scaling + a rockhier --metrics-json run,
+#  5. perf: bench/pipeline_scaling + a rockhier --metrics-json run,
 #     gated against the committed BENCH_pipeline_scaling.json /
 #     BASELINE_rockhier_counters.json baselines with tools/rockstat
 #     (>25% wall-time growth or *any* deterministic-counter drift
@@ -31,7 +35,7 @@
 #     cache hits -- hardware-independent, never skipped. Every
 #     measurement file is written straight into the ROCK_CI_ARTIFACTS
 #     dir when one is set, so a failing gate still ships its data;
-#  5. serve: boots rockd on a unix socket, replays a duplicate-heavy
+#  6. serve: boots rockd on a unix socket, replays a duplicate-heavy
 #     trace of 2000-class submissions through rockctl with 4
 #     concurrent clients, then gates (a) bit-identity -- every served
 #     response must equal a cold `rockhier` run on the same image,
@@ -50,8 +54,9 @@
 #
 # Usage:
 #   tools/ci.sh [--quick] [--only LEG]
-#     --quick      skip the sanitizer leg (fast local pre-push check)
-#     --only LEG   run one leg: tier1 | sanitize | vm | perf | serve
+#     --quick      skip the sanitizer legs (fast local pre-push check)
+#     --only LEG   run one leg: tier1 | sanitize | tsan | vm | perf |
+#                  serve
 #   JOBS=N overrides build/test parallelism (default: nproc).
 #   ROCK_CI_LEG_TIMEOUT=SECS overrides every leg's time limit.
 #   ROCK_CI_ARTIFACTS=DIR keeps the tier1 fuzz metrics and the
@@ -90,6 +95,14 @@ leg_sanitize() {
     cmake --build build-asan -j "$JOBS"
     (cd build-asan && ctest --output-on-failure -j "$JOBS")
     ./build-asan/tools/rockfuzz --seeds 50 --repro-dir "$ROCK_CI_REPRO_DIR"
+}
+
+leg_tsan() {
+    echo "==> tsan: ThreadSanitizer build + _tsan tests"
+    cmake -B build-tsan -S . -DROCK_SANITIZE=thread
+    cmake --build build-tsan -j "$JOBS" --target determinism_test \
+        serve_test support_test
+    (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R _tsan)
 }
 
 leg_vm() {
@@ -265,20 +278,23 @@ fi
 
 run_tier1=1
 run_sanitize=1
+run_tsan=1
 run_vm=1
 run_perf=1
 run_serve=1
 while [ $# -gt 0 ]; do
     case "$1" in
       --quick)
-        run_sanitize=0
+        run_sanitize=0 run_tsan=0
         ;;
       --only)
         [ $# -ge 2 ] || { echo "ci.sh: --only needs a leg" >&2; exit 2; }
-        run_tier1=0 run_sanitize=0 run_vm=0 run_perf=0 run_serve=0
+        run_tier1=0 run_sanitize=0 run_tsan=0 run_vm=0 run_perf=0
+        run_serve=0
         case "$2" in
           tier1)    run_tier1=1 ;;
           sanitize) run_sanitize=1 ;;
+          tsan)     run_tsan=1 ;;
           vm)       run_vm=1 ;;
           perf)     run_perf=1 ;;
           serve)    run_serve=1 ;;
@@ -287,7 +303,7 @@ while [ $# -gt 0 ]; do
         shift
         ;;
       *)
-        echo "usage: tools/ci.sh [--quick] [--only tier1|sanitize|vm|perf|serve]" >&2
+        echo "usage: tools/ci.sh [--quick] [--only tier1|sanitize|tsan|vm|perf|serve]" >&2
         exit 2
         ;;
     esac
@@ -318,7 +334,7 @@ trap cleanup EXIT
 # legs get the larger budget. ROCK_CI_LEG_TIMEOUT overrides all.
 leg_limit() {
     case "$1" in
-      tier1|sanitize) echo "${ROCK_CI_LEG_TIMEOUT:-5400}" ;;
+      tier1|sanitize|tsan) echo "${ROCK_CI_LEG_TIMEOUT:-5400}" ;;
       *)              echo "${ROCK_CI_LEG_TIMEOUT:-2700}" ;;
     esac
 }
@@ -341,6 +357,7 @@ run_leg() {
 
 if [ "$run_tier1" -eq 1 ];    then run_leg tier1;    fi
 if [ "$run_sanitize" -eq 1 ]; then run_leg sanitize; fi
+if [ "$run_tsan" -eq 1 ];     then run_leg tsan;     fi
 if [ "$run_vm" -eq 1 ];       then run_leg vm;       fi
 if [ "$run_perf" -eq 1 ];     then run_leg perf;     fi
 if [ "$run_serve" -eq 1 ];    then run_leg serve;    fi

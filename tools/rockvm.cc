@@ -10,8 +10,9 @@
  *
  * Options:
  *   --threads N       interpreter worker threads (0 = hardware
- *                     concurrency); the merged result is identical
- *                     for every thread count
+ *                     concurrency, never more than the image has
+ *                     runs); the merged result is identical for
+ *                     every thread count
  *   --metrics-json F  write an obs::MetricsReport of the run to F
  *
  * Each image is analyzed statically first (analysis::analyze) so the
