@@ -139,12 +139,12 @@ decode_function_analysis(cache::ByteReader& r, FunctionAnalysis& fa)
 /** Fingerprint shared by every symexec artifact of one (image,
  *  config) pair -- every knob except `threads`. */
 std::uint64_t
-symexec_fingerprint(const bir::BinaryImage& image,
+symexec_fingerprint(const cfg::CfgCache& cfgs,
                     const SymExecConfig& config)
 {
     std::uint64_t fp = cache::kFnvSeed;
     fp = cache::mix(fp, cache::kSchemaVersion);
-    fp = cache::mix(fp, cfg::image_digest(image));
+    fp = cache::mix(fp, cfgs.image_digest());
     fp = cache::mix(fp, static_cast<std::uint64_t>(config.tracelet_len));
     fp = cache::mix(fp, static_cast<std::uint64_t>(config.max_paths));
     fp = cache::mix(fp, static_cast<std::uint64_t>(config.max_steps));
@@ -317,7 +317,7 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
     // on phase A's ctor discoveries).
     cache::ArtifactCache* store = artifacts.get();
     const std::uint64_t fp_base =
-        store ? symexec_fingerprint(image, config) : 0;
+        store ? symexec_fingerprint(cache, config) : 0;
     const std::uint64_t fp_a =
         store ? mix_callees(fp_base, this_callees) : 0;
 

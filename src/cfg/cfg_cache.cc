@@ -115,6 +115,14 @@ CfgCache::body(std::size_t index) const
 }
 
 std::uint64_t
+CfgCache::image_digest() const
+{
+    std::call_once(digest_once_,
+                   [this] { digest_ = cfg::image_digest(image_); });
+    return digest_;
+}
+
+std::uint64_t
 image_digest(const bir::BinaryImage& image)
 {
     std::uint64_t h = 1469598103934665603ull;

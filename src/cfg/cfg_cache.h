@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -73,8 +74,17 @@ class CfgCache {
      */
     const std::vector<std::uint64_t>& costs() const { return costs_; }
 
+    /**
+     * image_digest() of the cached image, computed on first use and
+     * then reused: every artifact fingerprint of one run (manifest,
+     * symexec, typeinf) folds the same value. Thread-safe.
+     */
+    std::uint64_t image_digest() const;
+
   private:
     const bir::BinaryImage& image_;
+    mutable std::once_flag digest_once_;
+    mutable std::uint64_t digest_ = 0;
     std::vector<Cfg> cfgs_;
     std::vector<std::uint64_t> hashes_;
     std::vector<std::uint64_t> costs_;

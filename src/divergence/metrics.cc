@@ -33,23 +33,57 @@ metric_name(MetricKind kind)
     return "?";
 }
 
+namespace {
+
+/** Scale @p raw (positive, non-empty) to sum 1, summing in order. */
+void
+normalize(std::vector<double>& raw)
+{
+    double total = 0.0;
+    for (double p : raw)
+        total += p;
+    ROCK_ASSERT(total > 0.0, "degenerate word distribution");
+    for (double& p : raw)
+        p /= total;
+}
+
+/** JS divergence of two normalized distributions. */
+double
+js_between(const std::vector<double>& pa, const std::vector<double>& pb)
+{
+    std::vector<double> mid(pa.size());
+    for (std::size_t i = 0; i < pa.size(); ++i)
+        mid[i] = 0.5 * (pa[i] + pb[i]);
+    return 0.5 * kl_between(pa, mid) + 0.5 * kl_between(pb, mid);
+}
+
+/** Raw probabilities: model.sequence_prob(w) for every w of @p words,
+ *  in order, each strictly positive. Counts divergence.model_queries. */
+std::vector<double>
+word_probs(const slm::LanguageModel& model, const WordSet& words)
+{
+    static obs::Counter& queries =
+        obs::Registry::global().counter("divergence.model_queries");
+    queries.add(words.size());
+    std::vector<double> probs;
+    probs.reserve(words.size());
+    for (const auto& word : words) {
+        double p = model.sequence_prob(word);
+        ROCK_ASSERT(p > 0.0, "non-positive word probability");
+        probs.push_back(p);
+    }
+    return probs;
+}
+
+} // namespace
+
 std::vector<double>
 word_distribution(const slm::LanguageModel& model, const WordSet& words)
 {
     support::check(!words.empty(),
                    "divergence over an empty word set");
-    std::vector<double> dist;
-    dist.reserve(words.size());
-    double total = 0.0;
-    for (const auto& word : words) {
-        double p = model.sequence_prob(word);
-        ROCK_ASSERT(p > 0.0, "non-positive word probability");
-        dist.push_back(p);
-        total += p;
-    }
-    ROCK_ASSERT(total > 0.0, "degenerate word distribution");
-    for (double& p : dist)
-        p /= total;
+    std::vector<double> dist = word_probs(model, words);
+    normalize(dist);
     return dist;
 }
 
@@ -80,12 +114,8 @@ double
 js_divergence(const slm::LanguageModel& a, const slm::LanguageModel& b,
               const WordSet& words)
 {
-    std::vector<double> pa = word_distribution(a, words);
-    std::vector<double> pb = word_distribution(b, words);
-    std::vector<double> mid(pa.size());
-    for (std::size_t i = 0; i < pa.size(); ++i)
-        mid[i] = 0.5 * (pa[i] + pb[i]);
-    return 0.5 * kl_between(pa, mid) + 0.5 * kl_between(pb, mid);
+    return js_between(word_distribution(a, words),
+                      word_distribution(b, words));
 }
 
 double
@@ -96,8 +126,8 @@ js_distance(const slm::LanguageModel& a, const slm::LanguageModel& b,
 }
 
 double
-pair_distance(MetricKind kind, const slm::LanguageModel& parent,
-              const slm::LanguageModel& child, const WordSet& words)
+score_words(MetricKind kind, std::vector<double>& parent,
+            std::vector<double>& child)
 {
     // Work-volume telemetry: pairs evaluated and words integrated
     // over -- both pure functions of the feasible-edge work list.
@@ -107,19 +137,31 @@ pair_distance(MetricKind kind, const slm::LanguageModel& parent,
         static obs::Counter& word_count =
             obs::Registry::global().counter("divergence.words");
         pairs.add();
-        word_count.add(words.size());
+        word_count.add(parent.size());
     }
+    support::check(!parent.empty(), "divergence over an empty word set");
+    normalize(parent);
+    normalize(child);
     switch (kind) {
       case MetricKind::KL:
-        return kl_divergence(parent, child, words);
+        return kl_between(parent, child);
       case MetricKind::KLReversed:
-        return kl_divergence(child, parent, words);
+        return kl_between(child, parent);
       case MetricKind::JSDivergence:
-        return js_divergence(parent, child, words);
+        return js_between(parent, child);
       case MetricKind::JSDistance:
-        return js_distance(parent, child, words);
+        return std::sqrt(js_between(parent, child));
     }
     support::panic("unknown metric kind");
+}
+
+double
+pair_distance(MetricKind kind, const slm::LanguageModel& parent,
+              const slm::LanguageModel& child, const WordSet& words)
+{
+    std::vector<double> parent_probs = word_probs(parent, words);
+    std::vector<double> child_probs = word_probs(child, words);
+    return score_words(kind, parent_probs, child_probs);
 }
 
 } // namespace rock::divergence

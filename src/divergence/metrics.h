@@ -62,7 +62,21 @@ double js_distance(const slm::LanguageModel& a,
                    const slm::LanguageModel& b, const WordSet& words);
 
 /**
- * Edge weight for "a is the parent of b" under @p kind.
+ * The one scoring kernel behind every edge weight: normalize the raw
+ * word probabilities of the parent and the child (same words, same
+ * order, non-empty) in place and score them under @p kind. Counts
+ * one `divergence.pairs` and the word count into `divergence.words`.
+ * Where the raw probabilities come from (fresh model queries in
+ * pair_distance(), or rows gathered by a WordTable) does not change a
+ * bit of the result.
+ */
+double score_words(MetricKind kind, std::vector<double>& parent,
+                   std::vector<double>& child);
+
+/**
+ * Edge weight for "a is the parent of b" under @p kind: score_words()
+ * over both models' sequence_prob() of every word (two
+ * `divergence.model_queries` per word).
  *
  * For MetricKind::KL this is DKL(SLM(parent) || SLM(child)): inherited
  * behavior makes the parent's distribution nearly contained in the

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "cache/artifact_cache.h"
+#include "divergence/word_table.h"
 #include "graph/ambiguity.h"
 #include "graph/digraph.h"
 #include "graph/edmonds.h"
@@ -286,10 +287,13 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     std::shared_ptr<cache::ArtifactCache> artifacts =
         cache::resolve_cache(config.cache);
     cache::ArtifactCache* store = artifacts.get();
+    // Built below; constructed first so the manifest key and the
+    // analyze/typeinf fingerprints share its one image digest.
+    cfg::CfgCache cfgs(image);
     cache::ArtifactKey manifest{kManifestKind, 0, 0};
     bool warm = false;
     if (store) {
-        manifest.content = cfg::image_digest(image);
+        manifest.content = cfgs.image_digest();
         manifest.fingerprint = config_fingerprint(config);
         warm = store->probe(manifest, [&](cache::ByteReader& in) {
             return in.u64() == manifest.content && in.at_end();
@@ -301,7 +305,6 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     // ---- Shared CFG recovery (parallel over functions) -----------------
     // Built once, consumed by both the verifier and the behavioral
     // analysis; nobody downstream rebuilds a CFG or re-decodes a body.
-    cfg::CfgCache cfgs(image);
     {
         obs::Span span("pipeline.cfg");
         cfgs.build_all(pool);
@@ -440,9 +443,10 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         static_cast<std::size_t>(num_families), 0);
     std::vector<double> edge_weights;
     std::vector<std::uint64_t> edge_costs;
-    const bool observed_union = config.words.strategy ==
-                                divergence::WordSetStrategy::ObservedUnion;
-    std::vector<divergence::WordSet> type_words;
+    // One word table per family with edges (divergence/word_table.h):
+    // each (type, word) is scored once, not once per pair.
+    std::vector<std::unique_ptr<divergence::WordTable>> tables(
+        static_cast<std::size_t>(num_families));
     {
         obs::Span span("pipeline.distances");
         for (int f = 0; f < num_families; ++f)
@@ -518,8 +522,6 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
             edge_costs[e] = type_costs[static_cast<std::size_t>(p)] +
                             type_costs[static_cast<std::size_t>(c)];
         }
-        if (observed_union)
-            type_words.resize(static_cast<std::size_t>(n));
 
         // Per-family distance-blob probe: a hit pre-fills the family's
         // weight range (final, post-discount values); probe() replays
@@ -551,13 +553,26 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                           edge_weights.begin() +
                               static_cast<std::ptrdiff_t>(eb));
         }
+        // Built for loaded families too: its endpoint count sizes the
+        // row chunks, and the task graph must not depend on the cache.
+        for (std::size_t f = 0; f < tables.size(); ++f) {
+            if (fam_edge_end[f] > fam_edge_begin[f])
+                tables[f] = std::make_unique<divergence::WordTable>(
+                    config.words, alphabet_size,
+                    std::span(edges).subspan(
+                        fam_edge_begin[f],
+                        fam_edge_end[f] - fam_edge_begin[f]));
+        }
     }
 
     // ---- Per-family task chains ----------------------------------------
+    //     train chunks -> intern -> row chunks -> distance chunks -> solve
+    // (families without edges: train chunks -> solve).
     result.families.resize(static_cast<std::size_t>(num_families));
-    // Counter increments of each family's distance chunks (one slot
-    // per chunk: chunks run on different threads), stored with the
-    // family's "famdist" blob.
+    // Counter increments of every task that computes a family's
+    // weights (word collection in the train chunks, row chunks,
+    // distance chunks; one slot per task: tasks run on different
+    // threads), stored with the family's "famdist" blob.
     std::vector<std::vector<obs::CounterDeltas>> dist_captured(
         static_cast<std::size_t>(num_families));
 
@@ -574,9 +589,13 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         const std::size_t eb =
             fam_edge_begin[static_cast<std::size_t>(f)];
         const std::size_t ee = fam_edge_end[static_cast<std::size_t>(f)];
-        const bool need_words =
-            observed_union && ee > eb &&
-            !famdist_loaded[static_cast<std::size_t>(f)];
+        divergence::WordTable* table =
+            tables[static_cast<std::size_t>(f)].get();
+        // Weights to compute (not served by the cache): only then do
+        // the word and row steps do any work.
+        const bool weigh =
+            table && !famdist_loaded[static_cast<std::size_t>(f)];
+        auto& captured = dist_captured[static_cast<std::size_t>(f)];
 
         std::vector<std::uint64_t> member_costs(m);
         for (std::size_t pos = 0; pos < m; ++pos)
@@ -586,8 +605,11 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         for (const support::Chunk& chunk : support::plan_chunks(
                  m, kTaskFanout, member_costs.data())) {
             train_ids.push_back(tasks.size());
+            const std::size_t slot = captured.size();
+            if (table)
+                captured.emplace_back();
             tasks.push_back(
-                {[&, f, chunk, need_words]() {
+                {[&, f, chunk, table, weigh, slot]() {
                      const auto& mem =
                          family_members[static_cast<std::size_t>(f)];
                      {
@@ -620,63 +642,93 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                              store->store(key, out, capture.deltas());
                          }
                      }
-                     if (need_words) {
-                         // ObservedUnion word sets: sort-deduplicate
-                         // each type's sequences once, so each edge is
-                         // a linear merge instead of a fresh std::set
-                         // over both types.
+                     if (weigh) {
+                         // Each endpoint type's words, once per type.
                          obs::Span span("pipeline.distances");
+                         std::optional<obs::CounterCapture> capture;
+                         if (store)
+                             capture.emplace();
+                         const std::vector<int>& ends = table->types();
                          for (std::size_t pos = chunk.begin;
                               pos < chunk.end; ++pos) {
+                             auto it = std::lower_bound(
+                                 ends.begin(), ends.end(), mem[pos]);
+                             if (it == ends.end() || *it != mem[pos])
+                                 continue;
                              const std::size_t t =
                                  static_cast<std::size_t>(mem[pos]);
-                             type_words[t] =
-                                 divergence::sorted_unique_words(
-                                     seqs[t]);
+                             table->collect(
+                                 static_cast<std::size_t>(it - ends.begin()),
+                                 seqs[t], *models[t]);
                          }
+                         if (capture)
+                             dist_captured[static_cast<std::size_t>(f)]
+                                          [slot] = capture->deltas();
                      }
                  },
                  {}});
         }
 
-        std::vector<std::size_t> dist_ids;
-        if (ee > eb) {
-            const std::vector<support::Chunk> chunks =
-                support::plan_chunks(ee - eb, kTaskFanout,
-                                     edge_costs.data() + eb);
-            dist_captured[static_cast<std::size_t>(f)].resize(
-                chunks.size());
-            for (std::size_t k = 0; k < chunks.size(); ++k) {
-                dist_ids.push_back(tasks.size());
+        // Interning, then one probability row per endpoint type.
+        std::vector<std::size_t> row_ids;
+        if (table) {
+            const std::size_t intern_id = tasks.size();
+            tasks.push_back({[&, table, weigh]() {
+                                 obs::Span span("pipeline.distances");
+                                 if (weigh)
+                                     table->intern();
+                             },
+                             train_ids});
+            const std::vector<std::uint64_t> row_costs =
+                table->row_costs(edge_costs.data() + eb);
+            for (const support::Chunk& chunk : support::plan_chunks(
+                     row_costs.size(), kTaskFanout, row_costs.data())) {
+                row_ids.push_back(tasks.size());
+                const std::size_t slot = captured.size();
+                captured.emplace_back();
                 tasks.push_back(
-                    {[&, f, eb, k, chunk = chunks[k]]() {
+                    {[&, f, chunk, table, weigh, slot]() {
                          obs::Span span("pipeline.distances");
-                         if (famdist_loaded[static_cast<std::size_t>(f)])
+                         if (!weigh)
                              return;
                          std::optional<obs::CounterCapture> capture;
                          if (store)
                              capture.emplace();
-                         for (std::size_t i = chunk.begin; i < chunk.end;
-                              ++i) {
-                             const std::size_t e = eb + i;
-                             const auto [p, c] = edges[e];
-                             const std::size_t pi =
-                                 static_cast<std::size_t>(p);
-                             const std::size_t ci =
-                                 static_cast<std::size_t>(c);
-                             divergence::WordSet words =
-                                 observed_union
-                                     ? divergence::merge_word_sets(
-                                           type_words[pi], type_words[ci])
-                                     : divergence::build_word_set(
-                                           config.words, seqs[pi],
-                                           seqs[ci], models[pi].get(),
-                                           alphabet_size);
-                             if (!words.empty()) {
-                                 edge_weights[e] = divergence::pair_distance(
-                                     config.metric, *models[pi],
-                                     *models[ci], words);
-                             }
+                         for (std::size_t s = chunk.begin; s < chunk.end;
+                              ++s) {
+                             const std::size_t t = static_cast<std::size_t>(
+                                 table->types()[s]);
+                             table->fill_row(s, *models[t]);
+                         }
+                         if (capture)
+                             dist_captured[static_cast<std::size_t>(f)]
+                                          [slot] = capture->deltas();
+                     },
+                     {intern_id}});
+            }
+        }
+
+        std::vector<std::size_t> dist_ids;
+        if (ee > eb) {
+            for (const support::Chunk& chunk : support::plan_chunks(
+                     ee - eb, kTaskFanout, edge_costs.data() + eb)) {
+                dist_ids.push_back(tasks.size());
+                const std::size_t slot = captured.size();
+                captured.emplace_back();
+                tasks.push_back(
+                    {[&, f, eb, chunk, table, weigh, slot]() {
+                         obs::Span span("pipeline.distances");
+                         if (!weigh)
+                             return;
+                         std::optional<obs::CounterCapture> capture;
+                         if (store)
+                             capture.emplace();
+                         table->distances(config.metric, chunk.begin,
+                                          chunk.end,
+                                          edge_weights.data() + eb +
+                                              chunk.begin);
+                         for (std::size_t e = eb + chunk.begin;
+                              e < eb + chunk.end; ++e) {
                              // Solved-subtype agreement: cheapen the edge
                              // without ever touching the zero-cost floor
                              // forced edges stand on.
@@ -684,10 +736,10 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                                  edge_weights[e] *= config.typeinf_discount;
                          }
                          if (capture)
-                             dist_captured[static_cast<std::size_t>(f)][k] =
-                                 capture->deltas();
+                             dist_captured[static_cast<std::size_t>(f)]
+                                          [slot] = capture->deltas();
                      },
-                     train_ids});
+                     row_ids});
             }
         }
 
@@ -696,8 +748,10 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                  obs::Span span("pipeline.arborescence");
                  const std::size_t fi = static_cast<std::size_t>(f);
                  auto& mem = family_members[fi];
-                 // The family's weight range is final: persist it with
-                 // its distance chunks' counters if this run computed it.
+                 // The family's weight range is final: free its rows, and
+                 // persist it with the counters of the tasks that
+                 // computed it (if this run did).
+                 tables[fi].reset();
                  if (store && ee > eb && !famdist_loaded[fi]) {
                      obs::CounterDeltas captured;
                      for (const obs::CounterDeltas& chunk : dist_captured[fi])

@@ -501,7 +501,7 @@ generate_constraints(const bir::BinaryImage& image,
     std::uint64_t fp = 0;
     if (store) {
         fp = cache::mix(cache::kFnvSeed, cache::kSchemaVersion);
-        fp = cache::mix(fp, cfg::image_digest(image));
+        fp = cache::mix(fp, cache.image_digest());
         fp = cache::mix(fp, vtable_addrs.size());
         for (const auto& vt : vtables)
             fp = cache::mix(fp, vt.addr);

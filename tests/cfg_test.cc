@@ -15,6 +15,7 @@
 #include "bir/builder.h"
 #include "cfg/analyses.h"
 #include "cfg/cfg.h"
+#include "cfg/cfg_cache.h"
 #include "cfg/dominators.h"
 #include "cfg/verify.h"
 #include "corpus/examples.h"
@@ -106,6 +107,22 @@ diamond_body(std::uint32_t then_value, std::uint32_t else_value)
     fb.bind(l_join);
     fb.retval(2);
     return fb;
+}
+
+TEST(CfgCache, ImageDigestIsComputedOnce)
+{
+    // Every artifact fingerprint of one run folds the cache's digest:
+    // it equals image_digest() and is not recomputed on later calls.
+    FunctionBuilder fb;
+    fb.movi(2, 1);
+    fb.retval(2);
+    BinaryImage img = single_function(std::move(fb));
+    CfgCache cache(img);
+    const std::uint64_t digest = cache.image_digest();
+    EXPECT_EQ(digest, image_digest(img));
+    img.code[0] ^= 1;
+    EXPECT_NE(image_digest(img), digest);
+    EXPECT_EQ(cache.image_digest(), digest);
 }
 
 TEST(Cfg, DiamondBlocksAndEdges)

@@ -14,6 +14,7 @@
 
 #include <thread>
 
+#include "cache/artifact_cache.h"
 #include "corpus/benchmarks.h"
 #include "corpus/examples.h"
 #include "corpus/generator.h"
@@ -191,6 +192,50 @@ TEST(Determinism, MetricsCountersBitIdenticalAcrossThreadCounts)
         SCOPED_TRACE(threads);
         EXPECT_EQ(serial, counters_with(threads));
     }
+}
+
+TEST(Determinism, ModelQueryCountersMatchAcrossThreadsAndWarmRuns)
+{
+    // The distance stage scores each (type, word) once, in row tasks
+    // that run wherever the pool puts them: divergence.model_queries
+    // and the slm.escapes those queries take must still be pure
+    // functions of the input, and a warm run (weights served by the
+    // artifact cache) must replay both from the family's blob.
+    corpus::GeneratorSpec spec;
+    spec.num_classes = 24;
+    spec.num_trees = 2;
+    spec.max_depth = 3;
+    spec.scenarios_per_class = 2;
+    spec.mi_prob = 0.1;
+    spec.seed = 13;
+    toyc::CompileResult compiled =
+        toyc::compile(corpus::generate_program(spec));
+
+    using Counts = std::pair<std::uint64_t, std::uint64_t>;
+    auto counts_with =
+        [&](int threads, std::shared_ptr<cache::ArtifactCache> store) {
+            obs::Registry::global().reset();
+            RockConfig config;
+            config.threads = threads;
+            config.cache = std::move(store);
+            reconstruct(compiled.image, config);
+            auto values = obs::Registry::global().counter_values();
+            return Counts{values["divergence.model_queries"],
+                          values["slm.escapes"]};
+        };
+    const Counts serial = counts_with(1, nullptr);
+    EXPECT_GT(serial.first, 0u);
+    EXPECT_GT(serial.second, 0u);
+    for (int threads : {2, 4, 8}) {
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(counts_with(threads, nullptr), serial);
+    }
+    auto store =
+        std::make_shared<cache::ArtifactCache>(cache::CacheOptions{});
+    EXPECT_EQ(counts_with(4, store), serial);     // cold: fills the store
+    const auto hits = store->stats().hits;
+    EXPECT_EQ(counts_with(2, store), serial);     // warm
+    EXPECT_GT(store->stats().hits, hits);
 }
 
 TEST(Determinism, StageSpansPopulatedForEveryStage)

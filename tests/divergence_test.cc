@@ -4,11 +4,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "support/error.h"
 #include "divergence/metrics.h"
 #include "divergence/word_set.h"
+#include "divergence/word_table.h"
+#include "obs/metrics.h"
 #include "slm/model.h"
 #include "support/rng.h"
 
@@ -204,6 +208,220 @@ TEST(Metrics, PairDistanceDispatch)
                 js_divergence(*a, *b, words), 1e-12);
     EXPECT_NEAR(pair_distance(MetricKind::JSDistance, *a, *b, words),
                 js_distance(*a, *b, words), 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// Word tables: row-gathered weights are pair_distance's exact bits
+// ---------------------------------------------------------------------
+
+/** Seeded random types and candidate edges for the word-table tests. */
+struct EdgeFixture {
+    static constexpr int kAlphabet = 5;
+    std::vector<std::vector<std::vector<int>>> seqs;
+    std::vector<std::unique_ptr<LanguageModel>> models;
+    std::vector<std::pair<int, int>> edges;
+};
+
+/**
+ * Types 0-5 draw 1-4 random tracelets over symbols {0..3}; symbol 4 is
+ * never trained except by type 6, so its words escape every context of
+ * the other models down to order -1. Types 7 and 8 have no tracelets
+ * (untrained models), and the edge 7 -> 8 has an empty ObservedUnion
+ * word set. Type 2 is both a parent and a child, and 3 -> 1 / 1 -> 3
+ * are both candidates.
+ */
+EdgeFixture
+make_edge_fixture(std::uint64_t seed, ModelKind kind)
+{
+    rock::support::Rng rng(seed);
+    EdgeFixture fx;
+    fx.seqs.resize(9);
+    for (int t = 0; t < 6; ++t) {
+        const std::size_t count = 1 + rng.index(4);
+        for (std::size_t i = 0; i < count; ++i) {
+            std::vector<int> word(1 + rng.index(5));
+            for (int& sym : word)
+                sym = static_cast<int>(rng.index(4));
+            fx.seqs[static_cast<std::size_t>(t)].push_back(word);
+        }
+    }
+    fx.seqs[6] = {{4, 0, 4}, {1, 4}, {4}};
+    ModelConfig config;
+    config.kind = kind;
+    for (const auto& seqs : fx.seqs)
+        fx.models.push_back(train_model(config, EdgeFixture::kAlphabet, seqs));
+    fx.edges = {{0, 1}, {2, 1}, {3, 1}, {1, 3}, {0, 2}, {6, 2},
+                {4, 5}, {0, 6}, {5, 6}, {7, 8}, {7, 0}, {3, 8}};
+    return fx;
+}
+
+/** Run a WordTable through all four steps over @p fx's edges. */
+WordTable
+filled_table(const WordSetConfig& config, const EdgeFixture& fx)
+{
+    WordTable table(config, EdgeFixture::kAlphabet, fx.edges);
+    const std::vector<int>& types = table.types();
+    for (std::size_t s = 0; s < types.size(); ++s) {
+        const auto t = static_cast<std::size_t>(types[s]);
+        table.collect(s, fx.seqs[t], *fx.models[t]);
+    }
+    table.intern();
+    for (std::size_t s = 0; s < types.size(); ++s)
+        table.fill_row(s, *fx.models[static_cast<std::size_t>(types[s])]);
+    return table;
+}
+
+/** Every edge's weight under @p kind from @p table's rows. */
+std::vector<double>
+gathered(const WordTable& table, MetricKind kind, std::size_t edges)
+{
+    std::vector<double> weights(edges);
+    table.distances(kind, 0, edges, weights.data());
+    return weights;
+}
+
+WordSetConfig
+strategy_config(WordSetStrategy strategy)
+{
+    WordSetConfig config;
+    config.strategy = strategy;
+    config.exhaustive_len = 3;
+    config.sample_count = 24;
+    config.sample_len = 4;
+    return config;
+}
+
+TEST(WordTable, GatheredWeightsEqualPairDistanceBitForBit)
+{
+    for (ModelKind model_kind :
+         {ModelKind::PpmC, ModelKind::Katz, ModelKind::NGram}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            const EdgeFixture fx = make_edge_fixture(seed, model_kind);
+            for (WordSetStrategy strategy :
+                 {WordSetStrategy::ObservedUnion, WordSetStrategy::Exhaustive,
+                  WordSetStrategy::Sampled}) {
+                const WordSetConfig config = strategy_config(strategy);
+                const WordTable table = filled_table(config, fx);
+                for (MetricKind kind :
+                     {MetricKind::KL, MetricKind::KLReversed,
+                      MetricKind::JSDivergence, MetricKind::JSDistance}) {
+                    const std::vector<double> weights =
+                        gathered(table, kind, fx.edges.size());
+                    for (std::size_t e = 0; e < fx.edges.size(); ++e) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << "model " << static_cast<int>(model_kind)
+                                     << " seed " << seed << " strategy "
+                                     << static_cast<int>(strategy) << " metric "
+                                     << metric_name(kind) << " edge " << e);
+                        const auto [p, c] = fx.edges[e];
+                        const auto pi = static_cast<std::size_t>(p);
+                        const auto ci = static_cast<std::size_t>(c);
+                        WordSet words = build_word_set(
+                            config, fx.seqs[pi], fx.seqs[ci],
+                            fx.models[pi].get(), EdgeFixture::kAlphabet);
+                        const double expected =
+                            words.empty()
+                                ? 0.0
+                                : pair_distance(kind, *fx.models[pi],
+                                                *fx.models[ci], words);
+                        EXPECT_EQ(weights[e], expected);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(WordTable, EmptyWordSetWeighsZeroAndCountsNothing)
+{
+    const EdgeFixture fx = make_edge_fixture(1, ModelKind::PpmC);
+    const WordSetConfig config =
+        strategy_config(WordSetStrategy::ObservedUnion);
+    // Types 7 and 8 have no tracelets: edge 7 -> 8 has no words.
+    ASSERT_EQ(fx.edges[9], (std::pair<int, int>{7, 8}));
+    ASSERT_TRUE(
+        build_word_set(config, fx.seqs[7], fx.seqs[8], nullptr, 5).empty());
+    const WordTable table = filled_table(config, fx);
+    rock::obs::Counter& pairs = rock::obs::Registry::global().counter("divergence.pairs");
+    const std::uint64_t before = pairs.value();
+    const std::vector<double> weights =
+        gathered(table, MetricKind::KL, fx.edges.size());
+    EXPECT_EQ(weights[9], 0.0);
+    // Every other edge is scored: 7 -> 0 over type 0's words alone.
+    EXPECT_EQ(pairs.value(), before + fx.edges.size() - 1);
+}
+
+TEST(WordTable, OrderMinusOneEscapesAreGatheredExactly)
+{
+    // Symbol 4 is unseen by type 0's model: every context escapes and
+    // the probability comes from the order -1 uniform fallback.
+    const EdgeFixture fx = make_edge_fixture(2, ModelKind::PpmC);
+    const LanguageModel& unseen = *fx.models[0];
+    rock::obs::Counter& escapes = rock::obs::Registry::global().counter("slm.escapes");
+    const std::uint64_t before = escapes.value();
+    unseen.sequence_prob({4});
+    EXPECT_GT(escapes.value(), before);
+
+    const WordSetConfig config =
+        strategy_config(WordSetStrategy::ObservedUnion);
+    const WordTable table = filled_table(config, fx);
+    // Edge 0 -> 6: type 6's words all hold symbol 4.
+    ASSERT_EQ(fx.edges[7], (std::pair<int, int>{0, 6}));
+    WordSet words = build_word_set(config, fx.seqs[0], fx.seqs[6], nullptr, 5);
+    EXPECT_EQ(gathered(table, MetricKind::KL, fx.edges.size())[7],
+              pair_distance(MetricKind::KL, unseen, *fx.models[6], words));
+}
+
+TEST(WordTable, ExhaustiveKeepsLengthMajorOrder)
+{
+    const WordSetConfig config = strategy_config(WordSetStrategy::Exhaustive);
+    const WordSet words = build_word_set(config, {}, {}, nullptr, 5);
+    // {4} precedes {0, 0}: the list is not lexicographic, and summing
+    // it in sorted order would move the last bits of the weights.
+    ASSERT_FALSE(std::is_sorted(words.begin(), words.end()));
+    const EdgeFixture fx = make_edge_fixture(3, ModelKind::PpmC);
+    const WordTable table = filled_table(config, fx);
+    for (MetricKind kind : {MetricKind::KL, MetricKind::JSDivergence}) {
+        const std::vector<double> weights =
+            gathered(table, kind, fx.edges.size());
+        for (std::size_t e = 0; e < fx.edges.size(); ++e) {
+            const auto [p, c] = fx.edges[e];
+            EXPECT_EQ(weights[e],
+                      pair_distance(kind, *fx.models[static_cast<std::size_t>(p)],
+                                    *fx.models[static_cast<std::size_t>(c)],
+                                    words))
+                << "edge " << e;
+        }
+    }
+}
+
+TEST(WordTable, ScoresEachTypeWordPairOnce)
+{
+    // The rows cover exactly the distinct (type, word) pairs of all
+    // the edges' word sets: one model query each.
+    const EdgeFixture fx = make_edge_fixture(4, ModelKind::PpmC);
+    for (WordSetStrategy strategy :
+         {WordSetStrategy::ObservedUnion, WordSetStrategy::Exhaustive,
+          WordSetStrategy::Sampled}) {
+        SCOPED_TRACE(static_cast<int>(strategy));
+        const WordSetConfig config = strategy_config(strategy);
+        std::set<std::pair<int, std::vector<int>>> distinct;
+        for (const auto& [p, c] : fx.edges) {
+            const auto pi = static_cast<std::size_t>(p);
+            for (const auto& word :
+                 build_word_set(config, fx.seqs[pi],
+                                fx.seqs[static_cast<std::size_t>(c)],
+                                fx.models[pi].get(), EdgeFixture::kAlphabet)) {
+                distinct.insert({p, word});
+                distinct.insert({c, word});
+            }
+        }
+        rock::obs::Counter& queries =
+            rock::obs::Registry::global().counter("divergence.model_queries");
+        const std::uint64_t before = queries.value();
+        filled_table(config, fx);
+        EXPECT_EQ(queries.value() - before, distinct.size());
+    }
 }
 
 /**

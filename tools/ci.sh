@@ -8,9 +8,10 @@
 #     determinism_ubsan / cfg_asan / cfg_ubsan / serve_asan entries --
 #     plus a 50-seed rockfuzz smoke under instrumentation;
 #  3. tsan: a ThreadSanitizer build (-DROCK_SANITIZE=thread) running
-#     the `_tsan` ctest entries -- determinism_tsan, serve_tsan and
-#     support_tsan -- so the determinism contract and the ThreadPool
-#     scheduler are race-checked on the runner's cores;
+#     the `_tsan` ctest entries -- determinism_tsan, serve_tsan,
+#     support_tsan and cache_tsan -- so the determinism contract, the
+#     ThreadPool scheduler and the artifact cache are race-checked on
+#     the runner's cores;
 #  4. vm: rockvm runs every built-in corpus image trap-free, then a
 #     50-seed coverage-guided rockfuzz campaign restricted to the
 #     vm-differential oracle (dynamic tracelets under rockvm are a
@@ -101,7 +102,7 @@ leg_tsan() {
     echo "==> tsan: ThreadSanitizer build + _tsan tests"
     cmake -B build-tsan -S . -DROCK_SANITIZE=thread
     cmake --build build-tsan -j "$JOBS" --target determinism_test \
-        serve_test support_test
+        serve_test support_test cache_test
     (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R _tsan)
 }
 
