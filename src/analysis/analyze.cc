@@ -4,6 +4,7 @@
 
 #include "cache/artifact_cache.h"
 #include "obs/metrics.h"
+#include "support/error.h"
 #include "support/log.h"
 #include "support/parallel.h"
 
@@ -278,6 +279,8 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
         cfg::CfgCache& cache,
         const std::shared_ptr<cache::ArtifactCache>& artifacts)
 {
+    support::check(config.tracelet_len >= 1,
+                   "tracelet length must be >= 1");
     AnalysisResult result;
     result.vtables = scan_vtables(image);
 

@@ -32,7 +32,8 @@ namespace rock::analysis {
 
 /** Knobs for path exploration and tracelet shaping. */
 struct SymExecConfig {
-    /** Maximum tracelet length (paper uses 7). */
+    /** Maximum tracelet length, >= 1 (paper uses 7; analyze() rejects
+     *  less). */
     int tracelet_len = 7;
     /** Cap on completed paths per function. */
     int max_paths = 64;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "cache/artifact_cache.h"
 #include "divergence/word_table.h"
@@ -66,36 +65,72 @@ majority_filter(std::vector<graph::Arborescence>& forests)
 
 namespace {
 
-/** Candidate (parent idx, child idx) edges a solved subtype fact
- *  contradicts; absent from the distance map and the weighted graphs. */
-using PrunedEdges =
-    std::unordered_set<std::pair<int, int>, EdgeKeyHash>;
+/**
+ * One feasible (parent, child) edge of a family, with both ends as
+ * member positions. The distances prelude classifies every edge once:
+ * a forced rule-3 edge costs nothing, a pruned one contradicts a
+ * solved subtype fact and is never weighed, and a weighed one reads
+ * edge_weights[edge]. The values of Kind are what the famsolve key
+ * mixes.
+ */
+struct Candidate {
+    enum Kind : std::uint8_t { kWeighed = 0, kForced = 1, kPruned = 2 };
+    int parent = 0;
+    int child = 0;
+    Kind kind = kWeighed;
+    std::uint32_t edge = 0;
+};
 
-/** Position of @p type in the ascending @p members list. */
-int
-member_pos(const std::vector<int>& members, int type)
+/** Everything the task chains know about one family. */
+struct Family {
+    /** Type indices, ascending. */
+    std::vector<int> members;
+    /** Every feasible edge, in (member, parent) ascending order; empty
+     *  for a singleton. */
+    std::vector<Candidate> candidates;
+    /** Its weighed edges: [edge_begin, edge_end) of edges. */
+    std::size_t edge_begin = 0;
+    std::size_t edge_end = 0;
+    /** Content key of the "famdist" blob, and whether it was served. */
+    std::uint64_t dist_content = 0;
+    bool dist_loaded = false;
+    /** Word table of the weighed edges (none when there are none). */
+    std::unique_ptr<divergence::WordTable> table;
+    /** Counter increments of every task that computes the weights
+     *  (one slot per task: tasks run on different threads), stored
+     *  with the "famdist" blob. */
+    std::vector<obs::CounterDeltas> dist_captured;
+};
+
+/**
+ * Run @p work; when @p capture, keep the counters it bumps in
+ * @p fam's slot @p slot for the family's "famdist" blob.
+ */
+template <typename Work>
+void
+capture_into(Family& fam, std::size_t slot, bool capture, Work&& work)
 {
-    auto it = std::lower_bound(members.begin(), members.end(), type);
-    ROCK_ASSERT(it != members.end() && *it == type,
-                "type outside its family");
-    return static_cast<int>(it - members.begin());
+    std::optional<obs::CounterCapture> scope;
+    if (capture)
+        scope.emplace();
+    work();
+    if (scope)
+        fam.dist_captured[slot] = scope->deltas();
 }
 
 /**
- * Solve one family (ascending @p members): enumerate co-optimal
- * forests over the weighted feasible-edge graph and majority-filter
- * the ties. Returns the survivors with parents as member positions --
- * the "famsolve" payload. Pure function of its inputs (runs on pool
- * workers, one family per call).
+ * Solve one family: enumerate co-optimal forests over the weighted
+ * feasible-edge graph and majority-filter the ties. Returns the
+ * survivors with parents as member positions -- the "famsolve"
+ * payload. Pure function of its inputs (runs on pool workers, one
+ * family per call).
  */
 FamilySolveBlob
-solve_family(const std::vector<int>& members,
-             const structural::StructuralResult& structural,
-             const DistanceMap& distances, const PrunedEdges& pruned,
+solve_family(const Family& fam, const std::vector<double>& edge_weights,
              const RockConfig& config)
 {
     FamilySolveBlob sol;
-    const int m = static_cast<int>(members.size());
+    const int m = static_cast<int>(fam.members.size());
     sol.m = m;
 
     // Family counters: one-per-call and per-forest counts are pure
@@ -114,46 +149,26 @@ solve_family(const std::vector<int>& members,
 
     // Structural ambiguity: is there more than one min-root spanning
     // forest over the feasible edges alone? Decided exactly (dominator
-    // test, graph/ambiguity.h), never under a search budget.
-    {
-        graph::Digraph skeleton(m);
-        for (int i = 0; i < m; ++i) {
-            int child = members[static_cast<std::size_t>(i)];
-            for (int p :
-                 structural.possible_parents[static_cast<std::size_t>(
-                     child)]) {
-                skeleton.add_edge(member_pos(members, p), i, 0.0);
-            }
-        }
-        sol.structurally_ambiguous =
-            graph::has_multiple_min_root_forests(skeleton);
-    }
-
-    // Behaviorally weighted graph. Edges fixed by rule-3
-    // constructor evidence are structural certainties: they cost
-    // nothing, so the optimizer can never prefer re-rooting a
-    // chain over honoring them. Every non-forced feasible edge was
-    // precomputed into `distances` by the distance stage -- except
-    // those a solved subtype fact contradicts, which are pruned from
-    // the candidate graph entirely (the skeleton above stays raw:
-    // structural ambiguity is a property of the evidence, not of what
-    // typeinf resolved).
+    // test, graph/ambiguity.h), never under a search budget. The
+    // skeleton keeps pruned edges: structural ambiguity is a property
+    // of the evidence, not of what typeinf resolved.
+    graph::Digraph skeleton(m);
+    // Behaviorally weighted graph. Forced edges are structural
+    // certainties: they cost nothing, so the optimizer can never
+    // prefer re-rooting a chain over honoring them. Pruned edges are
+    // left out of it entirely.
     graph::Digraph weighted(m);
-    for (int i = 0; i < m; ++i) {
-        int child = members[static_cast<std::size_t>(i)];
-        auto forced = structural.forced_parents.find(child);
-        for (int p :
-             structural.possible_parents[static_cast<std::size_t>(
-                 child)]) {
-            bool is_forced = forced != structural.forced_parents.end() &&
-                             forced->second == p;
-            if (!is_forced && pruned.count({p, child}))
-                continue;
-            weighted.add_edge(member_pos(members, p), i,
-                              is_forced ? 0.0
-                                        : distances.at({p, child}));
-        }
+    for (const Candidate& c : fam.candidates) {
+        skeleton.add_edge(c.parent, c.child, 0.0);
+        if (c.kind != Candidate::kPruned)
+            weighted.add_edge(c.parent, c.child,
+                              c.kind == Candidate::kForced
+                                  ? 0.0
+                                  : edge_weights[c.edge]);
     }
+    sol.structurally_ambiguous =
+        graph::has_multiple_min_root_forests(skeleton);
+
     graph::EnumerateConfig ties;
     ties.epsilon = config.tie_epsilon;
     ties.max_results = config.max_alternatives;
@@ -183,34 +198,20 @@ solve_family(const std::vector<int>& members,
 
 /**
  * Content key of one "famsolve" artifact: everything solve_family()
- * consumes, in its iteration order -- family size, every feasible
- * (member, parent) pair as local indices, its forced/pruned state and
- * (for weighed edges) the exact distance bits.
+ * consumes, in its order -- family size, then per candidate its local
+ * parent and child, its kind and (for weighed edges) the exact
+ * distance bits.
  */
 std::uint64_t
-famsolve_content(const std::vector<int>& members,
-                 const structural::StructuralResult& structural,
-                 const DistanceMap& distances, const PrunedEdges& pruned)
+famsolve_content(const Family& fam, const std::vector<double>& edge_weights)
 {
-    std::uint64_t h = cache::mix(cache::kFnvSeed, members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        const int child = members[i];
-        auto forced = structural.forced_parents.find(child);
-        for (int p :
-             structural.possible_parents[static_cast<std::size_t>(
-                 child)]) {
-            const bool is_forced =
-                forced != structural.forced_parents.end() &&
-                forced->second == p;
-            const bool is_pruned =
-                !is_forced && pruned.count({p, child}) > 0;
-            h = cache::mix(
-                h, static_cast<std::uint64_t>(member_pos(members, p)));
-            h = cache::mix(h, static_cast<std::uint64_t>(i));
-            h = cache::mix(h, is_forced ? 1 : (is_pruned ? 2 : 0));
-            if (!is_forced && !is_pruned)
-                h = cache::mix_double(h, distances.at({p, child}));
-        }
+    std::uint64_t h = cache::mix(cache::kFnvSeed, fam.members.size());
+    for (const Candidate& c : fam.candidates) {
+        h = cache::mix(h, static_cast<std::uint64_t>(c.parent));
+        h = cache::mix(h, static_cast<std::uint64_t>(c.child));
+        h = cache::mix(h, c.kind);
+        if (c.kind == Candidate::kWeighed)
+            h = cache::mix_double(h, edge_weights[c.edge]);
     }
     return h;
 }
@@ -423,37 +424,34 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                     seqs[static_cast<std::size_t>(t)]);
     }
 
-    // ---- Distances prelude (serial): the feasible-edge work list -------
-    // Every non-forced feasible (parent, child) pair of every
-    // multi-member family, in (family, member, parent) order -- edges
-    // of one family are contiguous, [fam_edge_begin, fam_edge_end).
+    // ---- Distances prelude (serial): the candidate lists ---------------
+    // Every feasible (parent, child) edge of every family (structural
+    // analysis keeps both ends in one family, so singletons have none),
+    // classified once into its family's candidate list in (member,
+    // parent) order. The weighed ones form the work list `edges`, in
+    // (family, member, parent) order: a family's weighed edges are
+    // contiguous, [edge_begin, edge_end).
     const int num_families = result.structural.num_families();
-    std::vector<std::vector<int>> family_members(
-        static_cast<std::size_t>(num_families));
+    std::vector<Family> families(static_cast<std::size_t>(num_families));
     std::vector<std::pair<int, int>> edges;
     std::vector<char> edge_discounted;
-    std::vector<std::size_t> fam_edge_begin(
-        static_cast<std::size_t>(num_families), 0);
-    std::vector<std::size_t> fam_edge_end(
-        static_cast<std::size_t>(num_families), 0);
-    PrunedEdges typeinf_pruned;
-    std::vector<char> famdist_loaded(
-        static_cast<std::size_t>(num_families), 0);
-    std::vector<std::uint64_t> famdist_content(
-        static_cast<std::size_t>(num_families), 0);
     std::vector<double> edge_weights;
     std::vector<std::uint64_t> edge_costs;
-    // One word table per family with edges (divergence/word_table.h):
-    // each (type, word) is scored once, not once per pair.
-    std::vector<std::unique_ptr<divergence::WordTable>> tables(
-        static_cast<std::size_t>(num_families));
     {
         obs::Span span("pipeline.distances");
-        for (int f = 0; f < num_families; ++f)
-            family_members[static_cast<std::size_t>(f)] =
-                result.structural.family_members(f);
+        // Members ascending, and each type's position in its family.
+        const std::vector<int>& family_of = result.structural.family;
+        std::vector<int> position(static_cast<std::size_t>(n));
+        for (int t = 0; t < n; ++t) {
+            const std::size_t ti = static_cast<std::size_t>(t);
+            auto& members =
+                families[static_cast<std::size_t>(family_of[ti])].members;
+            position[ti] = static_cast<int>(members.size());
+            members.push_back(t);
+        }
 
         std::uint64_t pairs_pruned = 0;
+        std::uint64_t typeinf_pruned = 0;
         std::uint64_t discounted = 0;
         // A candidate edge p -> child contradicts a solved fact when
         // typeinf proved p itself derives from child (the edge would
@@ -462,44 +460,48 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         // discounts its distance. Forced rule-3 edges outrank both.
         const bool fuse =
             config.typeinf && !result.typeinf.types.empty();
-        for (int f = 0; f < num_families; ++f) {
-            fam_edge_begin[static_cast<std::size_t>(f)] = edges.size();
-            const auto& members =
-                family_members[static_cast<std::size_t>(f)];
-            if (members.size() >= 2) {
-                for (int child : members) {
-                    auto forced =
-                        result.structural.forced_parents.find(child);
-                    std::uint32_t child_vt =
-                        types[static_cast<std::size_t>(child)];
-                    for (int p :
-                         result.structural.possible_parents
-                             [static_cast<std::size_t>(child)]) {
-                        bool is_forced =
-                            forced !=
-                                result.structural.forced_parents.end() &&
-                            forced->second == p;
-                        if (is_forced) {
-                            ++pairs_pruned;
-                            continue;
-                        }
-                        std::uint32_t p_vt =
-                            types[static_cast<std::size_t>(p)];
-                        if (fuse &&
-                            result.typeinf.subtype(p_vt, child_vt)) {
-                            typeinf_pruned.insert({p, child});
-                            continue;
-                        }
-                        bool agrees =
-                            fuse &&
-                            result.typeinf.subtype(child_vt, p_vt);
+        const auto& possible = result.structural.possible_parents;
+        const auto& forced_parents = result.structural.forced_parents;
+        for (Family& fam : families) {
+            fam.edge_begin = edges.size();
+            // Sized exactly: next to the word rows, the giant family's
+            // list is the tail's largest allocation.
+            std::size_t feasible = 0;
+            for (int child : fam.members)
+                feasible += possible[static_cast<std::size_t>(child)].size();
+            fam.candidates.reserve(feasible);
+            for (int child : fam.members) {
+                const std::size_t ci = static_cast<std::size_t>(child);
+                const std::uint32_t child_vt = types[ci];
+                auto forced = forced_parents.find(child);
+                for (int p : possible[ci]) {
+                    const std::size_t pi = static_cast<std::size_t>(p);
+                    ROCK_ASSERT(family_of[pi] == family_of[ci],
+                                "type outside its family");
+                    const std::uint32_t p_vt = types[pi];
+                    Candidate c;
+                    c.parent = position[pi];
+                    c.child = position[ci];
+                    if (forced != forced_parents.end() &&
+                        forced->second == p) {
+                        c.kind = Candidate::kForced;
+                        ++pairs_pruned;
+                    } else if (fuse &&
+                               result.typeinf.subtype(p_vt, child_vt)) {
+                        c.kind = Candidate::kPruned;
+                        ++typeinf_pruned;
+                    } else {
+                        const bool agrees =
+                            fuse && result.typeinf.subtype(child_vt, p_vt);
                         discounted += agrees ? 1 : 0;
+                        c.edge = static_cast<std::uint32_t>(edges.size());
                         edges.emplace_back(p, child);
                         edge_discounted.push_back(agrees ? 1 : 0);
                     }
+                    fam.candidates.push_back(c);
                 }
             }
-            fam_edge_end[static_cast<std::size_t>(f)] = edges.size();
+            fam.edge_end = edges.size();
         }
         {
             // DKL pairs actually scheduled vs. pruned away by
@@ -509,8 +511,7 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
             reg.counter("divergence.pairs_scheduled").add(edges.size());
             reg.counter("divergence.pairs_pruned_forced")
                 .add(pairs_pruned);
-            reg.counter("typeinf.edges_pruned")
-                .add(typeinf_pruned.size());
+            reg.counter("typeinf.edges_pruned").add(typeinf_pruned);
             reg.counter("typeinf.edges_discounted").add(discounted);
         }
         // Edge cost ~ word-set size x per-word model walks; both scale
@@ -523,45 +524,43 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                             type_costs[static_cast<std::size_t>(c)];
         }
 
-        // Per-family distance-blob probe: a hit pre-fills the family's
-        // weight range (final, post-discount values); probe() replays
-        // the counters the skipped evaluation would have bumped.
-        for (std::size_t f = 0; store && f < famdist_content.size(); ++f) {
-            const std::size_t eb = fam_edge_begin[f];
-            const std::size_t ee = fam_edge_end[f];
+        for (Family& fam : families) {
+            const std::size_t eb = fam.edge_begin;
+            const std::size_t ee = fam.edge_end;
             if (eb == ee)
                 continue;
-            std::uint64_t h = cache::mix(cache::kFnvSeed, ee - eb);
-            for (std::size_t e = eb; e < ee; ++e) {
-                const auto [p, c] = edges[e];
-                h = cache::mix(h, static_cast<std::uint32_t>(p));
-                h = cache::mix(h, static_cast<std::uint32_t>(c));
-                h = cache::mix(h, type_seq_hash[static_cast<std::size_t>(p)]);
-                h = cache::mix(h, type_seq_hash[static_cast<std::size_t>(c)]);
-                h = cache::mix(h, edge_discounted[e] ? 1 : 0);
+            // Distance-blob probe: a hit pre-fills the family's weight
+            // range (final, post-discount values); probe() replays the
+            // counters the skipped evaluation would have bumped.
+            if (store) {
+                std::uint64_t h = cache::mix(cache::kFnvSeed, ee - eb);
+                for (std::size_t e = eb; e < ee; ++e) {
+                    const auto [p, c] = edges[e];
+                    h = cache::mix(h, static_cast<std::uint32_t>(p));
+                    h = cache::mix(h, static_cast<std::uint32_t>(c));
+                    h = cache::mix(h, type_seq_hash[static_cast<std::size_t>(p)]);
+                    h = cache::mix(h, type_seq_hash[static_cast<std::size_t>(c)]);
+                    h = cache::mix(h, edge_discounted[e] ? 1 : 0);
+                }
+                fam.dist_content = h;
+                std::vector<double> weights;
+                fam.dist_loaded = store->probe(
+                    {kFamilyDistanceKind, h, fp_dist},
+                    [&](cache::ByteReader& in) {
+                        return decode_family_distances(in, &weights) &&
+                               weights.size() == ee - eb;
+                    });
+                if (fam.dist_loaded)
+                    std::copy(weights.begin(), weights.end(),
+                              edge_weights.begin() +
+                                  static_cast<std::ptrdiff_t>(eb));
             }
-            famdist_content[f] = h;
-            std::vector<double> weights;
-            famdist_loaded[f] = store->probe(
-                {kFamilyDistanceKind, h, fp_dist},
-                [&](cache::ByteReader& in) {
-                    return decode_family_distances(in, &weights) &&
-                           weights.size() == ee - eb;
-                });
-            if (famdist_loaded[f])
-                std::copy(weights.begin(), weights.end(),
-                          edge_weights.begin() +
-                              static_cast<std::ptrdiff_t>(eb));
-        }
-        // Built for loaded families too: its endpoint count sizes the
-        // row chunks, and the task graph must not depend on the cache.
-        for (std::size_t f = 0; f < tables.size(); ++f) {
-            if (fam_edge_end[f] > fam_edge_begin[f])
-                tables[f] = std::make_unique<divergence::WordTable>(
-                    config.words, alphabet_size,
-                    std::span(edges).subspan(
-                        fam_edge_begin[f],
-                        fam_edge_end[f] - fam_edge_begin[f]));
+            // Built for loaded families too: its endpoint count sizes
+            // the row chunks, and the task graph must not depend on
+            // the cache.
+            fam.table = std::make_unique<divergence::WordTable>(
+                config.words, alphabet_size,
+                std::span(edges).subspan(eb, ee - eb));
         }
     }
 
@@ -569,12 +568,6 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     //     train chunks -> intern -> row chunks -> distance chunks -> solve
     // (families without edges: train chunks -> solve).
     result.families.resize(static_cast<std::size_t>(num_families));
-    // Counter increments of every task that computes a family's
-    // weights (word collection in the train chunks, row chunks,
-    // distance chunks; one slot per task: tasks run on different
-    // threads), stored with the family's "famdist" blob.
-    std::vector<std::vector<obs::CounterDeltas>> dist_captured(
-        static_cast<std::size_t>(num_families));
 
     // Fixed chunk fan-out: larger than any sane worker count so big
     // families spread across the pool, yet independent of it so the
@@ -582,36 +575,33 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
     constexpr std::size_t kTaskFanout = 16;
 
     std::vector<support::Task> tasks;
-    for (int f = 0; f < num_families; ++f) {
-        const auto& members =
-            family_members[static_cast<std::size_t>(f)];
-        const std::size_t m = members.size();
-        const std::size_t eb =
-            fam_edge_begin[static_cast<std::size_t>(f)];
-        const std::size_t ee = fam_edge_end[static_cast<std::size_t>(f)];
-        divergence::WordTable* table =
-            tables[static_cast<std::size_t>(f)].get();
+    for (std::size_t f = 0; f < families.size(); ++f) {
+        Family& fam = families[f];
+        const std::size_t m = fam.members.size();
+        const std::size_t eb = fam.edge_begin;
+        const std::size_t ee = fam.edge_end;
+        divergence::WordTable* table = fam.table.get();
         // Weights to compute (not served by the cache): only then do
-        // the word and row steps do any work.
-        const bool weigh =
-            table && !famdist_loaded[static_cast<std::size_t>(f)];
-        auto& captured = dist_captured[static_cast<std::size_t>(f)];
+        // the word and row steps do any work, and only then does a
+        // store want their counters.
+        const bool weigh = table && !fam.dist_loaded;
+        const bool persist = weigh && store;
 
         std::vector<std::uint64_t> member_costs(m);
         for (std::size_t pos = 0; pos < m; ++pos)
             member_costs[pos] =
-                type_costs[static_cast<std::size_t>(members[pos])];
+                type_costs[static_cast<std::size_t>(fam.members[pos])];
         std::vector<std::size_t> train_ids;
         for (const support::Chunk& chunk : support::plan_chunks(
                  m, kTaskFanout, member_costs.data())) {
             train_ids.push_back(tasks.size());
-            const std::size_t slot = captured.size();
+            const std::size_t slot = fam.dist_captured.size();
             if (table)
-                captured.emplace_back();
+                fam.dist_captured.emplace_back();
             tasks.push_back(
-                {[&, f, chunk, table, weigh, slot]() {
-                     const auto& mem =
-                         family_members[static_cast<std::size_t>(f)];
+                {[&, f, chunk, table, weigh, persist, slot]() {
+                     Family& fam = families[f];
+                     const auto& mem = fam.members;
                      {
                          obs::Span span("pipeline.train");
                          for (std::size_t pos = chunk.begin;
@@ -642,12 +632,11 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                              store->store(key, out, capture.deltas());
                          }
                      }
-                     if (weigh) {
-                         // Each endpoint type's words, once per type.
-                         obs::Span span("pipeline.distances");
-                         std::optional<obs::CounterCapture> capture;
-                         if (store)
-                             capture.emplace();
+                     if (!weigh)
+                         return;
+                     // Each endpoint type's words, once per type.
+                     obs::Span span("pipeline.distances");
+                     capture_into(fam, slot, persist, [&] {
                          const std::vector<int>& ends = table->types();
                          for (std::size_t pos = chunk.begin;
                               pos < chunk.end; ++pos) {
@@ -661,10 +650,7 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
                                  static_cast<std::size_t>(it - ends.begin()),
                                  seqs[t], *models[t]);
                          }
-                         if (capture)
-                             dist_captured[static_cast<std::size_t>(f)]
-                                          [slot] = capture->deltas();
-                     }
+                     });
                  },
                  {}});
         }
@@ -673,7 +659,7 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
         std::vector<std::size_t> row_ids;
         if (table) {
             const std::size_t intern_id = tasks.size();
-            tasks.push_back({[&, table, weigh]() {
+            tasks.push_back({[table, weigh]() {
                                  obs::Span span("pipeline.distances");
                                  if (weigh)
                                      table->intern();
@@ -684,121 +670,106 @@ reconstruct(const bir::BinaryImage& image, const RockConfig& config)
             for (const support::Chunk& chunk : support::plan_chunks(
                      row_costs.size(), kTaskFanout, row_costs.data())) {
                 row_ids.push_back(tasks.size());
-                const std::size_t slot = captured.size();
-                captured.emplace_back();
+                const std::size_t slot = fam.dist_captured.size();
+                fam.dist_captured.emplace_back();
                 tasks.push_back(
-                    {[&, f, chunk, table, weigh, slot]() {
+                    {[&, f, chunk, table, weigh, persist, slot]() {
                          obs::Span span("pipeline.distances");
                          if (!weigh)
                              return;
-                         std::optional<obs::CounterCapture> capture;
-                         if (store)
-                             capture.emplace();
-                         for (std::size_t s = chunk.begin; s < chunk.end;
-                              ++s) {
-                             const std::size_t t = static_cast<std::size_t>(
-                                 table->types()[s]);
-                             table->fill_row(s, *models[t]);
-                         }
-                         if (capture)
-                             dist_captured[static_cast<std::size_t>(f)]
-                                          [slot] = capture->deltas();
+                         capture_into(families[f], slot, persist, [&] {
+                             for (std::size_t s = chunk.begin;
+                                  s < chunk.end; ++s) {
+                                 const std::size_t t =
+                                     static_cast<std::size_t>(
+                                         table->types()[s]);
+                                 table->fill_row(s, *models[t]);
+                             }
+                         });
                      },
                      {intern_id}});
             }
         }
 
         std::vector<std::size_t> dist_ids;
-        if (ee > eb) {
+        if (table) {
             for (const support::Chunk& chunk : support::plan_chunks(
                      ee - eb, kTaskFanout, edge_costs.data() + eb)) {
                 dist_ids.push_back(tasks.size());
-                const std::size_t slot = captured.size();
-                captured.emplace_back();
+                const std::size_t slot = fam.dist_captured.size();
+                fam.dist_captured.emplace_back();
                 tasks.push_back(
-                    {[&, f, eb, chunk, table, weigh, slot]() {
+                    {[&, f, eb, chunk, table, weigh, persist, slot]() {
                          obs::Span span("pipeline.distances");
                          if (!weigh)
                              return;
-                         std::optional<obs::CounterCapture> capture;
-                         if (store)
-                             capture.emplace();
-                         table->distances(config.metric, chunk.begin,
-                                          chunk.end,
-                                          edge_weights.data() + eb +
-                                              chunk.begin);
-                         for (std::size_t e = eb + chunk.begin;
-                              e < eb + chunk.end; ++e) {
-                             // Solved-subtype agreement: cheapen the edge
-                             // without ever touching the zero-cost floor
-                             // forced edges stand on.
-                             if (edge_discounted[e] && edge_weights[e] > 0.0)
-                                 edge_weights[e] *= config.typeinf_discount;
-                         }
-                         if (capture)
-                             dist_captured[static_cast<std::size_t>(f)]
-                                          [slot] = capture->deltas();
+                         capture_into(families[f], slot, persist, [&] {
+                             table->distances(config.metric, chunk.begin,
+                                              chunk.end,
+                                              edge_weights.data() + eb +
+                                                  chunk.begin);
+                             for (std::size_t e = eb + chunk.begin;
+                                  e < eb + chunk.end; ++e) {
+                                 // Solved-subtype agreement: cheapen the
+                                 // edge without ever touching the
+                                 // zero-cost floor forced edges stand on.
+                                 if (edge_discounted[e] &&
+                                     edge_weights[e] > 0.0)
+                                     edge_weights[e] *=
+                                         config.typeinf_discount;
+                             }
+                         });
                      },
                      row_ids});
             }
         }
 
         tasks.push_back(
-            {[&, f, eb, ee]() {
+            {[&, f, persist]() {
                  obs::Span span("pipeline.arborescence");
-                 const std::size_t fi = static_cast<std::size_t>(f);
-                 auto& mem = family_members[fi];
+                 Family& fam = families[f];
                  // The family's weight range is final: free its rows, and
                  // persist it with the counters of the tasks that
                  // computed it (if this run did).
-                 tables[fi].reset();
-                 if (store && ee > eb && !famdist_loaded[fi]) {
+                 fam.table.reset();
+                 if (persist) {
                      obs::CounterDeltas captured;
-                     for (const obs::CounterDeltas& chunk : dist_captured[fi])
+                     for (const obs::CounterDeltas& chunk : fam.dist_captured)
                          for (const auto& [name, delta] : chunk)
                              captured[name] += delta;
                      cache::ByteWriter out;
                      encode_family_distances(
                          {edge_weights.begin() +
-                              static_cast<std::ptrdiff_t>(eb),
+                              static_cast<std::ptrdiff_t>(fam.edge_begin),
                           edge_weights.begin() +
-                              static_cast<std::ptrdiff_t>(ee)},
+                              static_cast<std::ptrdiff_t>(fam.edge_end)},
                          out);
-                     store->store({kFamilyDistanceKind,
-                                   famdist_content[fi], fp_dist},
+                     store->store({kFamilyDistanceKind, fam.dist_content,
+                                   fp_dist},
                                   out, captured);
                  }
-                 // Local view of this family's distances (solve_family
-                 // and the famsolve content key both read it).
-                 DistanceMap local;
-                 local.reserve(ee - eb);
-                 for (std::size_t e = eb; e < ee; ++e)
-                     local.emplace(edges[e], edge_weights[e]);
 
                  FamilySolveBlob sol;
-                 if (!store || mem.size() < 2) {
-                     sol = solve_family(mem, result.structural, local,
-                                        typeinf_pruned, config);
+                 if (!store || fam.members.size() < 2) {
+                     sol = solve_family(fam, edge_weights, config);
                  } else {
                      const cache::ArtifactKey key{
                          kFamilySolveKind,
-                         famsolve_content(mem, result.structural, local,
-                                          typeinf_pruned),
-                         fp_solve};
+                         famsolve_content(fam, edge_weights), fp_solve};
                      if (!store->probe(key, [&](cache::ByteReader& in) {
                              return decode_family_solution(in, &sol) &&
-                                    sol.m == static_cast<int>(mem.size());
+                                    sol.m == static_cast<int>(
+                                                 fam.members.size());
                          })) {
                          obs::CounterCapture capture;
-                         sol = solve_family(mem, result.structural, local,
-                                            typeinf_pruned, config);
+                         sol = solve_family(fam, edge_weights, config);
                          cache::ByteWriter out;
                          encode_family_solution(sol, out);
                          store->store(key, out, capture.deltas());
                      }
                  }
-                 result.families[fi] =
-                     family_result(f, std::move(mem), sol);
+                 result.families[f] = family_result(
+                     static_cast<int>(f), std::move(fam.members), sol);
              },
              dist_ids.empty() ? train_ids : dist_ids});
     }

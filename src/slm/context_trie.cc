@@ -73,7 +73,7 @@ void
 ContextTrie::context_chain(const std::vector<int>& context,
                            std::vector<NodeId>& chain) const
 {
-    chain.push_back(kRoot);
+    chain.assign(1, kRoot);
     NodeId node = kRoot;
     int limit = std::min<int>(depth_, static_cast<int>(context.size()));
     for (int k = 1; k <= limit; ++k) {

@@ -48,8 +48,9 @@ class ContextTrie {
 
     /**
      * Deepest stored node for the trailing context of @p context,
-     * bounded by the trie depth; the path found is appended to
-     * @p chain from shallowest (root) to deepest.
+     * bounded by the trie depth; @p chain is overwritten with the path
+     * found, from shallowest (root) to deepest. Model queries pass one
+     * reused per-thread buffer, so a query allocates nothing.
      */
     void context_chain(const std::vector<int>& context,
                        std::vector<NodeId>& chain) const;

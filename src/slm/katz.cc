@@ -66,16 +66,14 @@ KatzModel::discount(int order, int r) const
 
 double
 KatzModel::prob_at(const std::vector<ContextTrie::NodeId>& chain,
-                   std::size_t level, int symbol) const
+                   int order, int symbol) const
 {
-    if (level >= chain.size()) {
+    if (order < 0) {
         // Below order 0: uniform.
         return 1.0 / static_cast<double>(alphabet_size_);
     }
-    ContextTrie::NodeId node = chain[level];
-    // chain is deepest-first; the node's trie order is its distance
-    // from the root end of the chain.
-    int order = static_cast<int>(chain.size() - 1 - level);
+    // chain is root-first: a node's trie order is its index.
+    ContextTrie::NodeId node = chain[static_cast<std::size_t>(order)];
     double total = static_cast<double>(trie_.total(node));
 
     int raw = trie_.count_of(node, symbol);
@@ -90,7 +88,7 @@ KatzModel::prob_at(const std::vector<ContextTrie::NodeId>& chain,
     for (const auto& [sym, count] : trie_.counts(node)) {
         seen_mass += discount(order, count) *
                      static_cast<double>(count) / total;
-        lower_seen += prob_at(chain, level + 1, sym);
+        lower_seen += prob_at(chain, order - 1, sym);
     }
     double leftover = 1.0 - seen_mass;
     if (leftover <= 0.0)
@@ -99,7 +97,7 @@ KatzModel::prob_at(const std::vector<ContextTrie::NodeId>& chain,
     if (lower_unseen <= 1e-12)
         lower_unseen = 1e-12;
     double alpha = leftover / lower_unseen;
-    return alpha * prob_at(chain, level + 1, symbol);
+    return alpha * prob_at(chain, order - 1, symbol);
 }
 
 double
@@ -111,13 +109,11 @@ KatzModel::prob(int symbol, const std::vector<int>& context) const
         coc_ = trie_.count_of_counts();
         coc_valid_ = true;
     }
-    std::vector<ContextTrie::NodeId> chain;
+    thread_local std::vector<ContextTrie::NodeId> chain;
     trie_.context_chain(context, chain);
     // Evaluate from the deepest matched context; prob_at walks toward
-    // the root on back-off, so reverse the chain (deepest first).
-    std::vector<ContextTrie::NodeId> reversed(chain.rbegin(),
-                                              chain.rend());
-    return prob_at(reversed, 0, symbol);
+    // the root on back-off.
+    return prob_at(chain, static_cast<int>(chain.size()) - 1, symbol);
 }
 
 } // namespace rock::slm

@@ -45,10 +45,11 @@ class KatzModel final : public LanguageModel {
     /** Discount factor d_r for a raw count @p r at @p order. */
     double discount(int order, int r) const;
 
-    /** Probability using the chain suffix starting at @p level;
-     *  @p chain is deepest-first. */
+    /** Probability from the context of trie order @p order down;
+     *  @p chain is root-first (ContextTrie::context_chain), and an
+     *  order below 0 is the uniform floor. */
     double prob_at(const std::vector<ContextTrie::NodeId>& chain,
-                   std::size_t level, int symbol) const;
+                   int order, int symbol) const;
 
     ContextTrie trie_;
     int alphabet_size_;

@@ -27,7 +27,7 @@ NGramModel::prob(int symbol, const std::vector<int>& context) const
 {
     ROCK_ASSERT(symbol >= 0 && symbol < alphabet_size_,
                 "symbol outside alphabet");
-    std::vector<ContextTrie::NodeId> chain;
+    thread_local std::vector<ContextTrie::NodeId> chain;
     trie_.context_chain(context, chain);
     ContextTrie::NodeId node = chain.back();
     long count = trie_.count_of(node, symbol);

@@ -112,7 +112,7 @@ PpmModel::prob(int symbol, const std::vector<int>& context) const
     // Fast path: precomputed per-context probability vectors. Walk
     // from the deepest matched context toward the root, multiplying
     // escape probabilities until the symbol is found.
-    std::vector<ContextTrie::NodeId> chain;
+    thread_local std::vector<ContextTrie::NodeId> chain;
     trie_.context_chain(context, chain);
 
     double escape_acc = 1.0;
@@ -140,7 +140,7 @@ double
 PpmModel::general_prob(int symbol,
                        const std::vector<int>& context) const
 {
-    std::vector<ContextTrie::NodeId> chain;
+    thread_local std::vector<ContextTrie::NodeId> chain;
     trie_.context_chain(context, chain);
 
     double escape_acc = 1.0;

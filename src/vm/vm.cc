@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
+#include "support/error.h"
 #include "support/parallel.h"
 #include "vm/coverage.h"
 
@@ -180,6 +181,8 @@ Interpreter::Interpreter(const bir::BinaryImage& image,
     : image_(image), config_(config), vtables_(vtables),
       this_callees_(this_callees), cache_(image)
 {
+    support::check(config_.tracelet_len >= 1,
+                   "tracelet length must be >= 1");
     for (std::size_t i = 0; i < vtables_.size(); ++i) {
         vtable_index_[vtables_[i].addr] = i;
         for (std::uint32_t fn : vtables_[i].slots)

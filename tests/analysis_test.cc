@@ -11,6 +11,7 @@
 #include "analysis/vtable_scan.h"
 #include "bir/builder.h"
 #include "corpus/examples.h"
+#include "support/error.h"
 #include "toyc/compiler.h"
 
 namespace {
@@ -487,6 +488,22 @@ TEST(Analyze, ParallelMatchesSerial)
         EXPECT_EQ(tracelets, b.type_tracelets.at(type));
     }
     EXPECT_EQ(a.evidence.size(), b.evidence.size());
+}
+
+TEST(Analyze, RejectsTraceletLengthBelowOne)
+{
+    // A zero window never advances the split loop, and a negative one
+    // casts to SIZE_MAX: both are configuration errors, not inputs.
+    corpus::CorpusProgram example = corpus::datasources_program();
+    toyc::CompileResult compiled =
+        toyc::compile(example.program, example.options);
+    for (int len : {0, -1}) {
+        SymExecConfig config;
+        config.tracelet_len = len;
+        EXPECT_THROW(analyze(compiled.image, config),
+                     support::FatalError)
+            << "tracelet_len " << len;
+    }
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/examples.h"
+#include "corpus/generator.h"
 #include "divergence/metrics.h"
 #include "eval/application_distance.h"
 #include "eval/ground_truth.h"
@@ -35,6 +36,61 @@ TEST(Pipeline, DistancesOnlyOnFeasibleEdges)
     for (const auto& [edge, dist] : result.distances) {
         EXPECT_NE(edge.first, edge.second);
         EXPECT_GE(dist, 0.0);
+    }
+}
+
+TEST(Pipeline, TypeinfPrunedEdgesAreNeverWeighedOrChosen)
+{
+    // On this corpus the solved subtype facts prune every non-forced
+    // candidate edge: a pruned p -> child (typeinf proved p derives
+    // from child) must never be weighed nor picked, while forced
+    // rule-3 parents always are.
+    corpus::GeneratorSpec spec;
+    spec.num_classes = 20;
+    spec.num_trees = 2;
+    spec.max_depth = 3;
+    spec.scenarios_per_class = 2;
+    spec.seed = 11;
+    toyc::CompileResult compiled =
+        toyc::compile(corpus::generate_program(spec));
+    for (int threads : {1, 4}) {
+        RockConfig config;
+        config.threads = threads;
+        ReconstructionResult result = reconstruct(compiled.image, config);
+        const auto& structural = result.structural;
+        const auto& types = structural.types;
+        std::size_t pruned = 0;
+        std::size_t forced = 0;
+        for (const FamilyResult& fam : result.families) {
+            for (std::size_t m = 0; m < fam.members.size(); ++m) {
+                const int child = fam.members[m];
+                auto forced_it = structural.forced_parents.find(child);
+                if (forced_it != structural.forced_parents.end()) {
+                    ++forced;
+                    EXPECT_EQ(result.hierarchy.parent(child),
+                              forced_it->second)
+                        << "threads " << threads << " child " << child;
+                    continue;
+                }
+                for (int p : structural.possible_parents
+                                 [static_cast<std::size_t>(child)]) {
+                    if (!result.typeinf.subtype(
+                            types[static_cast<std::size_t>(p)],
+                            types[static_cast<std::size_t>(child)]))
+                        continue;
+                    ++pruned;
+                    EXPECT_EQ(result.distances.count({p, child}), 0u)
+                        << "threads " << threads << " edge " << p
+                        << " -> " << child;
+                    for (const auto& parents : fam.alternatives)
+                        EXPECT_NE(parents[m], p)
+                            << "threads " << threads << " edge " << p
+                            << " -> " << child;
+                }
+            }
+        }
+        EXPECT_GT(pruned, 0u) << "threads " << threads;
+        EXPECT_GT(forced, 0u) << "threads " << threads;
     }
 }
 

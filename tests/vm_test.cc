@@ -17,6 +17,7 @@
 #include "bir/builder.h"
 #include "corpus/examples.h"
 #include "obs/metrics.h"
+#include "support/error.h"
 #include "support/parallel.h"
 #include "toyc/compiler.h"
 #include "vm/coverage.h"
@@ -755,6 +756,20 @@ TEST(VmTrace, ConfigMirrorCopiesMirrorKnobs)
     EXPECT_EQ(c.max_backjumps, 1);
     EXPECT_TRUE(c.sliding_windows);
     EXPECT_FALSE(c.attribute_shared_methods_to_all);
+}
+
+TEST(VmTrace, RejectsTraceletLengthBelowOne)
+{
+    corpus::CorpusProgram example = corpus::datasources_program();
+    toyc::CompileResult compiled =
+        toyc::compile(example.program, example.options);
+    for (int len : {0, -1}) {
+        VmConfig config;
+        config.tracelet_len = len;
+        EXPECT_THROW(Interpreter(compiled.image, {}, {}, config),
+                     support::FatalError)
+            << "tracelet_len " << len;
+    }
 }
 
 } // namespace

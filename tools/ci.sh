@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# CI gate for the repository, in six legs:
+# CI gate for the repository, in six legs (plus `fuzz`, the part of
+# tier1 a CI job can run on its own):
 #
 #  1. tier1: the tier-1 verify line (ROADMAP.md): default build, full
-#     ctest suite, 200-seed rockfuzz campaign;
+#     ctest suite, then the fuzz leg -- the 200-seed rockfuzz campaign
+#     over every oracle, its metrics JSON in the ROCK_CI_ARTIFACTS dir
+#     when one is set (`--only fuzz` runs just this campaign);
 #  2. sanitize: an ASan+UBSan build (-DROCK_SANITIZE=address,undefined)
 #     of the same suite -- including the explicit determinism_asan /
 #     determinism_ubsan / cfg_asan / cfg_ubsan / serve_asan entries --
@@ -56,11 +59,11 @@
 # Usage:
 #   tools/ci.sh [--quick] [--only LEG]
 #     --quick      skip the sanitizer legs (fast local pre-push check)
-#     --only LEG   run one leg: tier1 | sanitize | tsan | vm | perf |
-#                  serve
+#     --only LEG   run one leg: tier1 | fuzz | sanitize | tsan | vm |
+#                  perf | serve
 #   JOBS=N overrides build/test parallelism (default: nproc).
 #   ROCK_CI_LEG_TIMEOUT=SECS overrides every leg's time limit.
-#   ROCK_CI_ARTIFACTS=DIR keeps the tier1 fuzz metrics and the
+#   ROCK_CI_ARTIFACTS=DIR keeps the fuzz leg's metrics and the
 #     vm/perf/serve legs' measurement files in DIR (the GitHub
 #     workflow uploads it).
 #   ROCK_CI_REPRO_DIR=DIR collects fuzz repro files in DIR (default:
@@ -81,6 +84,15 @@ leg_tier1() {
     cmake -B build -S .
     cmake --build build -j "$JOBS"
     (cd build && ctest --output-on-failure -j "$JOBS")
+    leg_fuzz
+}
+
+leg_fuzz() {
+    echo "==> fuzz: 200-seed rockfuzz campaign"
+    # Reuses the tier-1 build tree (configuring it when --only fuzz
+    # skipped tier1).
+    cmake -B build -S .
+    cmake --build build -j "$JOBS" --target rockfuzz
     metrics=()
     if [ -n "${ROCK_CI_ARTIFACTS:-}" ]; then
         mkdir -p "$ROCK_CI_ARTIFACTS"
@@ -278,6 +290,7 @@ if [ "${1:-}" = "--leg-body" ]; then
 fi
 
 run_tier1=1
+run_fuzz=0
 run_sanitize=1
 run_tsan=1
 run_vm=1
@@ -290,10 +303,11 @@ while [ $# -gt 0 ]; do
         ;;
       --only)
         [ $# -ge 2 ] || { echo "ci.sh: --only needs a leg" >&2; exit 2; }
-        run_tier1=0 run_sanitize=0 run_tsan=0 run_vm=0 run_perf=0
-        run_serve=0
+        run_tier1=0 run_fuzz=0 run_sanitize=0 run_tsan=0 run_vm=0
+        run_perf=0 run_serve=0
         case "$2" in
           tier1)    run_tier1=1 ;;
+          fuzz)     run_fuzz=1 ;;
           sanitize) run_sanitize=1 ;;
           tsan)     run_tsan=1 ;;
           vm)       run_vm=1 ;;
@@ -304,7 +318,7 @@ while [ $# -gt 0 ]; do
         shift
         ;;
       *)
-        echo "usage: tools/ci.sh [--quick] [--only tier1|sanitize|tsan|vm|perf|serve]" >&2
+        echo "usage: tools/ci.sh [--quick] [--only tier1|fuzz|sanitize|tsan|vm|perf|serve]" >&2
         exit 2
         ;;
     esac
@@ -357,6 +371,7 @@ run_leg() {
 }
 
 if [ "$run_tier1" -eq 1 ];    then run_leg tier1;    fi
+if [ "$run_fuzz" -eq 1 ];     then run_leg fuzz;     fi
 if [ "$run_sanitize" -eq 1 ]; then run_leg sanitize; fi
 if [ "$run_tsan" -eq 1 ];     then run_leg tsan;     fi
 if [ "$run_vm" -eq 1 ];       then run_leg vm;       fi

@@ -22,7 +22,7 @@
  *   --metric NAME            kl (default) | kl-reversed | js |
  *                            js-distance
  *   --depth N                SLM context depth (default 2)
- *   --tracelet N             tracelet window length (default 7)
+ *   --tracelet N             tracelet window length, >= 1 (default 7)
  *   --metrics-json F         write an obs::MetricsReport
  *                            (rock-metrics-v1) at exit
  */
@@ -100,6 +100,10 @@ main(int argc, char** argv)
             options.rock.slm.depth = std::atoi(argv[++i]);
         } else if (arg == "--tracelet" && i + 1 < argc) {
             options.rock.symexec.tracelet_len = std::atoi(argv[++i]);
+            if (options.rock.symexec.tracelet_len < 1) {
+                std::fprintf(stderr, "rockd: --tracelet must be >= 1\n");
+                return usage();
+            }
         } else if (arg == "--metrics-json" && i + 1 < argc) {
             metrics_path = argv[++i];
         } else {

@@ -8,7 +8,7 @@
  * Options:
  *   --metric NAME    kl (default) | kl-reversed | js | js-distance
  *   --depth N        SLM context depth (default 2)
- *   --tracelet N     tracelet window length (default 7)
+ *   --tracelet N     tracelet window length, >= 1 (default 7)
  *   --k N            attach up to N parents per type (CFI relaxation)
  *   --threads N      worker threads (0 = all hardware threads;
  *                    the result is identical for any N)
@@ -80,7 +80,9 @@ main(int argc, char** argv)
             input = arg;
         }
     }
-    if (input.empty()) {
+    if (config.symexec.tracelet_len < 1)
+        std::fprintf(stderr, "rockhier: --tracelet must be >= 1\n");
+    if (input.empty() || config.symexec.tracelet_len < 1) {
         std::fprintf(stderr,
                      "usage: rockhier IMAGE.vmi [--metric NAME] "
                      "[--depth N] [--tracelet N] [--k N] "
