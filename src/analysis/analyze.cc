@@ -4,7 +4,6 @@
 
 #include "cache/artifact_cache.h"
 #include "obs/metrics.h"
-#include "support/error.h"
 #include "support/log.h"
 #include "support/parallel.h"
 
@@ -151,9 +150,6 @@ symexec_fingerprint(const cfg::CfgCache& cfgs,
     fp = cache::mix(fp, static_cast<std::uint64_t>(config.max_steps));
     fp = cache::mix(fp,
                     static_cast<std::uint64_t>(config.max_backjumps));
-    fp = cache::mix(fp, config.sliding_windows ? 1 : 0);
-    fp = cache::mix(fp,
-                    config.attribute_shared_methods_to_all ? 1 : 0);
     return fp;
 }
 
@@ -279,8 +275,6 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
         cfg::CfgCache& cache,
         const std::shared_ptr<cache::ArtifactCache>& artifacts)
 {
-    support::check(config.tracelet_len >= 1,
-                   "tracelet length must be >= 1");
     AnalysisResult result;
     result.vtables = scan_vtables(image);
 

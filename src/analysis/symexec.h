@@ -24,6 +24,7 @@
 #include <set>
 #include <vector>
 
+#include "analysis/abstract_machine.h"
 #include "analysis/event.h"
 #include "analysis/vtable_scan.h"
 #include "bir/image.h"
@@ -32,8 +33,8 @@ namespace rock::analysis {
 
 /** Knobs for path exploration and tracelet shaping. */
 struct SymExecConfig {
-    /** Maximum tracelet length, >= 1 (paper uses 7; analyze() rejects
-     *  less). */
+    /** Maximum tracelet length, >= 1 (paper uses 7; AbstractMachine
+     *  rejects less). */
     int tracelet_len = 7;
     /** Cap on completed paths per function. */
     int max_paths = 64;
@@ -41,13 +42,6 @@ struct SymExecConfig {
     int max_steps = 512;
     /** Times a backward branch may be taken per path (loop unrolls). */
     int max_backjumps = 2;
-    /** Emit overlapping windows instead of disjoint chunks. */
-    bool sliding_windows = false;
-    /**
-     * Attribute tracelets of a shared method body to every type whose
-     * vtable contains the function (behavior inheritance).
-     */
-    bool attribute_shared_methods_to_all = true;
     /**
      * Worker threads for the per-function sweep: 1 = serial
      * (default), 0 = hardware concurrency, N = exactly N workers.
@@ -134,27 +128,12 @@ class SymbolicExecutor {
                          bool arg0_is_object,
                          const std::vector<bir::Instr>& body) const;
 
-    /** Vtables (by address) whose slots contain @p func. */
-    const std::vector<std::uint32_t>&
-    containing_vtables(std::uint32_t func) const;
-
   private:
-    struct Value;
-    struct AbsObject;
     struct PathState;
-
-    /** Find the vtable covering @p addr; sets @p slot. */
-    const VTableInfo* vtable_at(std::uint32_t addr,
-                                std::uint32_t* slot) const;
 
     const bir::BinaryImage& image_;
     const SymExecConfig config_;
-    std::vector<VTableInfo> vtables_;
-    /** vtable start address -> index into vtables_. */
-    std::map<std::uint32_t, std::size_t> vtable_index_;
-    /** function address -> vtable addresses containing it. */
-    std::map<std::uint32_t, std::vector<std::uint32_t>> containing_;
-    std::vector<std::uint32_t> no_vtables_;
+    AbstractMachine machine_;
 };
 
 } // namespace rock::analysis

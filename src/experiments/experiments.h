@@ -61,12 +61,9 @@ struct ScalePoint {
     int classes = 0;
     std::size_t functions = 0;
     long paths = 0;
-    /** Analysis stage alone (the "pipeline.analyze" span). */
+    /** Analysis stage alone (the "pipeline.analyze" span); checked
+     *  by tests, not rendered into the report. */
     double analyze_ms = 0.0;
-    /** Whole reconstruction (the "pipeline.reconstruct" span). */
-    double total_ms = 0.0;
-    /** Worker threads the pipeline ran with. */
-    int threads = 1;
 };
 
 std::vector<ScalePoint> run_scalability();

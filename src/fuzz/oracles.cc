@@ -1065,7 +1065,7 @@ first_containment_miss(
  * The dynamic side of the analysis: concretely executing the image
  * under rockvm must (a) never trap -- toyc output is well-formed --
  * and (b) only ever witness typed tracelets the static analysis also
- * extracts (dynamic ⊆ static; the mirror contract of src/vm/vm.h).
+ * extracts (dynamic ⊆ static; see the header of src/vm/vm.h).
  *
  * A miss is first retried against a boosted-path-budget re-analysis:
  * the configured max_paths caps static exploration, and a concretely
@@ -1077,8 +1077,8 @@ OracleVerdict
 check_vm_differential(const OracleContext& ctx)
 {
     const FuzzCase& fc = ctx.fuzz_case;
-    vm::VmConfig vcfg =
-        vm::VmConfig::mirror(ctx.config.rock.symexec);
+    vm::VmConfig vcfg;
+    vcfg.symexec = ctx.config.rock.symexec;
     vm::Interpreter interp(fc.compiled.image, fc.result.analysis,
                            vcfg);
     vm::VmResult dynamic = interp.run_image(1);

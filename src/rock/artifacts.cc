@@ -18,8 +18,6 @@ mix_symexec(std::uint64_t h, const analysis::SymExecConfig& c)
     h = mix(h, static_cast<std::uint64_t>(c.max_paths));
     h = mix(h, static_cast<std::uint64_t>(c.max_steps));
     h = mix(h, static_cast<std::uint64_t>(c.max_backjumps));
-    h = mix(h, c.sliding_windows ? 1 : 0);
-    h = mix(h, c.attribute_shared_methods_to_all ? 1 : 0);
     return h; // c.threads deliberately excluded
 }
 

@@ -12,34 +12,34 @@
  * virtual dispatches, this-pointer flows) into the same
  * analysis::Tracelet representation analysis::analyze() produces.
  *
- * ## The mirror contract (what makes the differential oracle sound)
+ * ## The shared abstract machine (what makes the differential sound)
  *
- * Every frame carries, next to its concrete register file, a *shadow*
- * register file over the exact abstract domain of
- * analysis/symexec.cc (Unknown / Const / Obj / Vptr / SlotFn) with
- * the exact same transfer functions. Event emission and type
- * attribution read only the shadow state; concrete values drive
- * control transfer, memory, and trap checks. Each frame starts with
- * fresh shadow state -- mirroring symexec's standalone
- * per-function analysis -- so a frame's event stream is, step for
- * step, the event stream symexec produces along the same
- * intra-procedural path. Frames end exactly where symexec paths end
- * (Ret/RetVal, falling off the body, the per-frame step cap), so the
- * tracelet *windows* chunk identically too. Consequence: on any image
- * whose concrete paths symexec explores, dynamic tracelets are a
- * subset of static ones -- the `vm-differential` fuzz oracle.
+ * Every frame carries, next to its concrete register file, an
+ * analysis::AbsState, and every instruction is applied to it by the
+ * same analysis::AbstractMachine::step() symexec runs; frames are
+ * attributed by the same AbstractMachine::finish(). Event emission and
+ * type attribution read only that abstract state; concrete values
+ * drive control transfer, memory, and trap checks. Each frame starts
+ * with a fresh abstract state -- as symexec analyses each function
+ * standalone -- so the data ops agree with symexec by construction.
+ * Consequence: on any image whose concrete paths symexec explores,
+ * dynamic tracelets are a subset of static ones -- the
+ * `vm-differential` fuzz oracle.
  *
- * Alignment rules for the places concrete and abstract execution
- * could legitimately diverge:
+ * What still has to agree by hand is control, the places where
+ * concrete and abstract execution could legitimately diverge:
  *
- *  - branch on shadow-Const: follow the shadow direction (symexec
- *    commits to it; divergence from the concrete direction is counted
- *    in VmStats::shadow_divergences, never followed);
- *  - branch on shadow-unknown: follow the concrete direction, except
- *    that a backward branch already taken max_backjumps times at this
- *    pc falls through instead (symexec stops forking there; following
- *    the concrete loop further would emit events in windows the
- *    static side never saw);
+ *  - branch on an abstract Const: follow the abstract direction
+ *    (symexec commits to it; divergence from the concrete direction is
+ *    counted in VmStats::shadow_divergences, never followed);
+ *  - branch on an abstract unknown: follow the concrete direction,
+ *    except that a backward branch already taken max_backjumps times
+ *    at this pc falls through instead (symexec stops forking there;
+ *    following the concrete loop further would emit events in windows
+ *    the static side never saw);
+ *  - frames end exactly where symexec paths end (Ret/RetVal, falling
+ *    off the body, the per-frame step cap), so windows chunk
+ *    identically;
  *  - stops that symexec does not have (global step budget, call-depth
  *    cap, traps) must not emit *partial* frames: the entry run keeps
  *    the tracelets of frames that already finished and discards the
@@ -61,6 +61,7 @@
 #include <set>
 #include <vector>
 
+#include "analysis/abstract_machine.h"
 #include "analysis/analyze.h"
 #include "analysis/event.h"
 #include "analysis/symexec.h"
@@ -74,17 +75,15 @@ namespace rock::vm {
 inline constexpr std::size_t kNumOps =
     static_cast<std::size_t>(bir::Op::Jz) + 1;
 
-/** Execution bounds and mirror knobs. */
+/** Execution bounds. */
 struct VmConfig {
     /**
-     * Mirror knobs -- MUST match the SymExecConfig of the static run
-     * being diffed against; mirror() copies them.
+     * The abstract machine's knobs, which MUST equal the SymExecConfig
+     * of the static run being diffed against: tracelet_len (>= 1,
+     * checked at construction), max_steps (per frame == symexec per
+     * path) and max_backjumps. max_paths and threads do not apply.
      */
-    int tracelet_len = 7;
-    int max_steps = 512; ///< per frame (== symexec per path)
-    int max_backjumps = 2;
-    bool sliding_windows = false;
-    bool attribute_shared_methods_to_all = true;
+    analysis::SymExecConfig symexec;
 
     /** Dynamic-only bounds (quiet stops, not traps). */
     int max_call_depth = 24;
@@ -100,9 +99,6 @@ struct VmConfig {
      * drives both directions of every opaque branch.
      */
     std::vector<std::uint32_t> opaque_values = {0, 1};
-
-    /** Copy the mirror knobs from @p se, defaults elsewhere. */
-    static VmConfig mirror(const analysis::SymExecConfig& se);
 };
 
 /** Why execution refused to continue. */
@@ -193,8 +189,8 @@ class Interpreter {
      * @param this_callees  functions whose first argument is `this`
      *                      (analysis phase B set: vtable members +
      *                      ctors -- use analysis::this_callee_set)
-     * @param config        bounds; mirror knobs must match the static
-     *                      config when diffing
+     * @param config        bounds; config.symexec must match the
+     *                      static config when diffing
      */
     Interpreter(const bir::BinaryImage& image,
                 const std::vector<analysis::VTableInfo>& vtables,
@@ -230,13 +226,8 @@ class Interpreter {
     std::size_t total_blocks() const;
 
   private:
-    struct Shadow;
-    struct DynObject;
     struct Frame;
     struct Machine;
-
-    const analysis::VTableInfo* vtable_at(std::uint32_t addr,
-                                          std::uint32_t* slot) const;
 
     /** @return false when the run must abort (trap / global budget). */
     bool run_frame(Machine& m, Frame& frame, int depth,
@@ -245,7 +236,6 @@ class Interpreter {
                const bir::FunctionEntry* fe,
                std::map<int, std::uint32_t> args, int depth,
                VmResult& out) const;
-    void finish_frame(Frame& frame, VmResult& out) const;
 
     std::uint32_t load_word(Machine& m, std::uint32_t addr,
                             VmResult& out) const;
@@ -255,13 +245,8 @@ class Interpreter {
 
     const bir::BinaryImage& image_;
     const VmConfig config_;
-    std::vector<analysis::VTableInfo> vtables_;
     std::set<std::uint32_t> this_callees_;
-    /** vtable start address -> index into vtables_. */
-    std::map<std::uint32_t, std::size_t> vtable_index_;
-    /** function address -> vtable addresses containing it. */
-    std::map<std::uint32_t, std::vector<std::uint32_t>> containing_;
-    std::vector<std::uint32_t> no_vtables_;
+    analysis::AbstractMachine abstract_;
     cfg::CfgCache cache_;
     /** Per function-table entry, per block: coverage fingerprint. */
     std::vector<std::vector<std::uint64_t>> fingerprints_;

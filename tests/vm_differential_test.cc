@@ -48,9 +48,8 @@ builtin_programs()
 
 /** Static tracelet sets per type, boosted so paths are not truncated. */
 std::map<std::uint32_t, std::set<analysis::Tracelet>>
-static_sets(const bir::BinaryImage& image)
+static_sets(const bir::BinaryImage& image, analysis::SymExecConfig cfg)
 {
-    analysis::SymExecConfig cfg;
     cfg.max_paths = 4096;
     analysis::AnalysisResult result = analysis::analyze(image, cfg);
     std::map<std::uint32_t, std::set<analysis::Tracelet>> sets;
@@ -59,15 +58,18 @@ static_sets(const bir::BinaryImage& image)
     return sets;
 }
 
-TEST(VmDifferential, AllBuiltinsRunCleanAndContained)
+/** Run every builtin under rockvm with @p config: no traps, and every
+ *  dynamic tracelet is in the static set of the same knobs. */
+void
+expect_builtins_clean_and_contained(const VmConfig& config)
 {
     for (const auto& prog : builtin_programs()) {
         SCOPED_TRACE(prog.name);
         toyc::CompileResult built =
             toyc::compile(prog.program, prog.options);
         analysis::AnalysisResult analysis =
-            analysis::analyze(built.image);
-        Interpreter interp(built.image, analysis, VmConfig{});
+            analysis::analyze(built.image, config.symexec);
+        Interpreter interp(built.image, analysis, config);
         VmResult dynamic = interp.run_image(1);
 
         // (a) clean images never trap.
@@ -81,7 +83,7 @@ TEST(VmDifferential, AllBuiltinsRunCleanAndContained)
         EXPECT_FALSE(dynamic.coverage.empty());
 
         // (b) dynamic ⊆ static per type.
-        auto sets = static_sets(built.image);
+        auto sets = static_sets(built.image, config.symexec);
         for (const auto& [type, tracelets] : dynamic.type_tracelets) {
             auto it = sets.find(type);
             ASSERT_NE(it, sets.end())
@@ -95,6 +97,22 @@ TEST(VmDifferential, AllBuiltinsRunCleanAndContained)
             }
         }
     }
+}
+
+TEST(VmDifferential, AllBuiltinsRunCleanAndContained)
+{
+    expect_builtins_clean_and_contained(VmConfig{});
+}
+
+TEST(VmDifferential, ContainedUnderNonDefaultSymexecKnobs)
+{
+    // The VM reads window length, per-frame step cap and backjump cap
+    // from the one SymExecConfig it shares with the static side.
+    VmConfig config;
+    config.symexec.tracelet_len = 3;
+    config.symexec.max_steps = 64;
+    config.symexec.max_backjumps = 1;
+    expect_builtins_clean_and_contained(config);
 }
 
 TEST(VmDifferential, DynamicTypedCoverageIsNonTrivial)

@@ -4,7 +4,7 @@
  *
  * One golden machine-state assertion per bir::Op on hand-assembled
  * images, one negative test per trap kind via targeted corruption,
- * shadow-mirror event goldens (ctor + dispatch emit the same events
+ * abstract-machine event goldens (ctor + dispatch emit the same events
  * symexec extracts), a determinism sweep (bit-identical across runs
  * and thread counts), and the vm.tracelets counter.
  */
@@ -49,9 +49,10 @@ single_function(FunctionBuilder fb)
 
 /** Run the only function of @p image with no vtables known. */
 VmResult
-run_single(const bir::BinaryImage& image, std::uint32_t opaque = 0)
+run_single(const bir::BinaryImage& image, std::uint32_t opaque = 0,
+           const VmConfig& config = {})
 {
-    Interpreter interp(image, {}, {}, VmConfig{});
+    Interpreter interp(image, {}, {}, config);
     return interp.run_entry(0, opaque);
 }
 
@@ -331,6 +332,13 @@ TEST(VmOps, BackwardLoopIsBoundedByBackjumpCap)
     EXPECT_EQ(r.entry_ret, 3u);
     EXPECT_EQ(r.stats.forced_fallthroughs, 1u);
     EXPECT_TRUE(r.traps.empty());
+
+    // The cap is the static side's knob, read from VmConfig::symexec.
+    VmConfig no_backjumps;
+    no_backjumps.symexec.max_backjumps = 0;
+    r = run_single(image, 1, no_backjumps);
+    EXPECT_EQ(r.entry_ret, 1u);
+    EXPECT_EQ(r.stats.forced_fallthroughs, 1u);
 }
 
 TEST(VmOps, FrameStepBudgetEndsFrameQuietly)
@@ -343,11 +351,19 @@ TEST(VmOps, FrameStepBudgetEndsFrameQuietly)
     fb.bind(head);
     fb.jnz(0, head);
     fb.retval(0);
-    VmResult r = run_single(std::move(fb));
+    bir::BinaryImage image = single_function(std::move(fb));
+    VmResult r = run_single(image);
     EXPECT_TRUE(r.traps.empty());
     EXPECT_EQ(r.stats.frame_step_stops, 1u);
     EXPECT_EQ(r.stats.steps,
-              static_cast<std::uint64_t>(VmConfig{}.max_steps));
+              static_cast<std::uint64_t>(VmConfig{}.symexec.max_steps));
+
+    // The cap is the static side's knob, read from VmConfig::symexec.
+    VmConfig short_frames;
+    short_frames.symexec.max_steps = 10;
+    r = run_single(image, 0, short_frames);
+    EXPECT_EQ(r.stats.frame_step_stops, 1u);
+    EXPECT_EQ(r.stats.steps, 10u);
 }
 
 TEST(VmOps, CallDepthCapSkipsCalleeQuietly)
@@ -519,7 +535,7 @@ TEST(VmTraps, TrapNamesAreStable)
     EXPECT_STREQ(vm::trap_name(TrapKind::Purecall), "purecall");
 }
 
-// ---- shadow-mirror event goldens -----------------------------------------
+// ---- abstract-machine event goldens --------------------------------------
 
 TEST(VmEvents, CtorAndDispatchEmitTypedVirtCallTracelet)
 {
@@ -742,20 +758,45 @@ TEST(VmCounters, TraceletCounterCountsEveryEmittedTracelet)
     EXPECT_EQ(delta, expected);
 }
 
-TEST(VmTrace, ConfigMirrorCopiesMirrorKnobs)
+TEST(VmTrace, TraceletWindowing)
 {
-    analysis::SymExecConfig se;
-    se.tracelet_len = 5;
-    se.max_steps = 100;
-    se.max_backjumps = 1;
-    se.sliding_windows = true;
-    se.attribute_shared_methods_to_all = false;
-    VmConfig c = VmConfig::mirror(se);
-    EXPECT_EQ(c.tracelet_len, 5);
-    EXPECT_EQ(c.max_steps, 100);
-    EXPECT_EQ(c.max_backjumps, 1);
-    EXPECT_TRUE(c.sliding_windows);
-    EXPECT_FALSE(c.attribute_shared_methods_to_all);
+    // Twin of SymExec.TraceletWindowing: 10 field writes -> one
+    // window of 7 and one of 3, split by the same finish() symexec
+    // uses.
+    ImageBuilder ib;
+    FuncId f = ib.declare_function("f");
+    FuncId m = ib.declare_function("m");
+    VtId vt = ib.add_vtable("T", 1);
+    ib.set_slot(vt, 0, m);
+    {
+        FunctionBuilder fb;
+        fb.ret();
+        ib.define_function(m, std::move(fb));
+    }
+    {
+        FunctionBuilder fb;
+        fb.movi(1, 8);
+        fb.setarg(0, 1);
+        fb.call_addr(bir::kAllocStub);
+        fb.getret(2);
+        fb.movi_vtable(3, vt);
+        fb.store(2, 0, 3);
+        for (int i = 0; i < 10; ++i)
+            fb.store(2, 4 + 4 * i, 1);
+        fb.ret();
+        ib.define_function(f, std::move(fb));
+    }
+    bir::BinaryImage image = ib.link({});
+    auto analysis = analysis::analyze(image);
+    ASSERT_EQ(analysis.vtables.size(), 1u);
+    Interpreter interp(image, analysis, VmConfig{});
+    VmResult r = interp.run_entry(0, 0);
+    EXPECT_TRUE(r.traps.empty());
+    const auto& tracelets =
+        r.type_tracelets.at(analysis.vtables[0].addr);
+    ASSERT_EQ(tracelets.size(), 2u);
+    EXPECT_EQ(tracelets[0].size(), 7u);
+    EXPECT_EQ(tracelets[1].size(), 3u);
 }
 
 TEST(VmTrace, RejectsTraceletLengthBelowOne)
@@ -765,7 +806,7 @@ TEST(VmTrace, RejectsTraceletLengthBelowOne)
         toyc::compile(example.program, example.options);
     for (int len : {0, -1}) {
         VmConfig config;
-        config.tracelet_len = len;
+        config.symexec.tracelet_len = len;
         EXPECT_THROW(Interpreter(compiled.image, {}, {}, config),
                      support::FatalError)
             << "tracelet_len " << len;
