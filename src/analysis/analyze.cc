@@ -1,6 +1,9 @@
 #include "analysis/analyze.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <optional>
 
 #include "cache/artifact_cache.h"
 #include "obs/metrics.h"
@@ -232,19 +235,24 @@ record_metrics(const AnalysisResult& result, std::size_t functions)
         .add(static_cast<std::uint64_t>(result.total_paths));
 
     std::uint64_t tracelets = 0;
-    std::map<EventKind, std::uint64_t> events;
+    constexpr std::size_t kKinds =
+        static_cast<std::size_t>(EventKind::CallDirect) + 1;
+    std::array<std::uint64_t, kKinds> events{};
     for (const auto& [type, list] : result.type_tracelets) {
         tracelets += list.size();
         for (const Tracelet& tracelet : list) {
             for (const Event& event : tracelet)
-                ++events[event.kind];
+                ++events[static_cast<std::size_t>(event.kind)];
         }
     }
     reg.counter("analysis.tracelets").add(tracelets);
-    for (const auto& [kind, count] : events) {
+    // Only the kinds that occurred get a counter.
+    for (std::size_t kind = 0; kind < kKinds; ++kind) {
+        if (events[kind] == 0)
+            continue;
         reg.counter(std::string("analysis.events.") +
-                    event_kind_metric(kind))
-            .add(count);
+                    event_kind_metric(static_cast<EventKind>(kind)))
+            .add(events[kind]);
     }
 }
 
@@ -276,17 +284,6 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
         const std::shared_ptr<cache::ArtifactCache>& artifacts)
 {
     AnalysisResult result;
-    result.vtables = scan_vtables(image);
-
-    SymbolicExecutor exec(image, result.vtables, config);
-
-    // `this`-callee seed: every function referenced from a vtable.
-    std::set<std::uint32_t> this_callees;
-    for (const auto& vt : result.vtables) {
-        for (std::uint32_t fn : vt.slots)
-            this_callees.insert(fn);
-    }
-
     const std::size_t num_functions = image.functions.size();
 
     // Each function writes only its own output slot; slots are merged
@@ -298,16 +295,55 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
             support::resolve_threads(config.threads)),
         std::max<std::size_t>(1, num_functions))));
 
-    // One decode per function for both phases, served from the shared
-    // CFG cache (the verify stage already paid for the recovery when
-    // the pipeline runs with verification on). Sweeps are chunked by
-    // instruction count so uneven corpora still balance.
+    // One decode per function, served from the shared CFG cache (the
+    // verify stage already paid for the recovery when the pipeline
+    // runs with verification on). Sweeps are chunked by instruction
+    // count so uneven corpora still balance. The first sweep scans
+    // every body for vtable candidates in place, in the cached slots.
+    // A body the CFG recovery could not decode takes CfgCache::body()'s
+    // fallback afterwards, in function order, so a corrupt image fails
+    // on its first bad function whatever the thread count.
     cache.build_all(pool);
     const std::uint64_t* costs = cache.costs().data();
-    std::vector<std::vector<bir::Instr>> bodies(num_functions);
+    std::vector<std::vector<std::uint32_t>> candidates(num_functions);
+    auto scan_body = [&](std::size_t i) {
+        VtableCandidates scan(image);
+        cache.for_each_instr(
+            i, [&](const bir::Instr& instr) { scan.add(instr); });
+        candidates[i] = std::move(scan.addrs());
+    };
     pool.parallel_for(num_functions, costs, [&](std::size_t i) {
-        bodies[i] = cache.body(i);
+        if (cache.at(i).well_formed())
+            scan_body(i);
     });
+    std::vector<std::uint32_t> all_candidates;
+    for (std::size_t i = 0; i < num_functions; ++i) {
+        if (!cache.at(i).well_formed())
+            scan_body(i);
+        all_candidates.insert(all_candidates.end(), candidates[i].begin(),
+                              candidates[i].end());
+    }
+    result.vtables = vtables_at(image, std::move(all_candidates));
+
+    SymbolicExecutor exec(image, result.vtables, config);
+
+    // `this`-callee seed: every function referenced from a vtable.
+    std::set<std::uint32_t> this_callees;
+    for (const auto& vt : result.vtables) {
+        for (std::uint32_t fn : vt.slots)
+            this_callees.insert(fn);
+    }
+
+    // A body is copied out of the CFG cache on its function's first
+    // phase miss: a run whose phases the artifact cache serves copies
+    // none.
+    std::vector<std::optional<std::vector<bir::Instr>>> bodies(
+        num_functions);
+    auto body_of = [&](std::size_t i) -> const std::vector<bir::Instr>& {
+        if (!bodies[i])
+            bodies[i] = cache.body(i);
+        return *bodies[i];
+    };
 
     // Memoization context: one fingerprint for the whole sweep, one
     // callee-set digest per phase (phase B's set additionally depends
@@ -321,29 +357,29 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
     // ---- Phase A: find ctor/dtor-like functions ------------------------
     // A function is ctor-like when, executed with its first argument
     // modeled as an object, that object ends up with a vtable address
-    // stored at offset 0.
-    std::vector<FunctionAnalysis> phase_a(num_functions);
+    // stored at offset 0. Each worker keeps only that vtable.
+    std::vector<std::optional<std::uint32_t>> ctor_vtable(num_functions);
     pool.parallel_for(num_functions, costs, [&](std::size_t i) {
-        phase_a[i] = cached_run(
+        const FunctionAnalysis fa = cached_run(
             store, cache.content_hash(i), image.functions[i].addr,
             /*phase=*/0, fp_a, [&] {
                 return exec.run(image.functions[i], this_callees,
-                                true, bodies[i]);
+                                true, body_of(i));
             });
-    });
-    for (std::size_t i = 0; i < num_functions; ++i) {
-        for (const auto& ev : phase_a[i].evidence) {
+        for (const auto& ev : fa.evidence) {
             if (!ev.from_this_param)
                 continue;
             auto primary = ev.vptr_stores.find(0);
             if (primary != ev.vptr_stores.end()) {
-                result.ctor_types[image.functions[i].addr] =
-                    primary->second;
+                ctor_vtable[i] = primary->second;
                 break;
             }
         }
+    });
+    for (std::size_t i = 0; i < num_functions; ++i) {
+        if (ctor_vtable[i])
+            result.ctor_types[image.functions[i].addr] = *ctor_vtable[i];
     }
-    phase_a.clear();
 
     // ---- Phase B: final tracelets + evidence ---------------------------
     std::set<std::uint32_t> full_callees = this_callee_set(result);
@@ -358,15 +394,17 @@ analyze(const bir::BinaryImage& image, const SymExecConfig& config,
             store, cache.content_hash(i), image.functions[i].addr,
             /*phase=*/1, fp_b, [&] {
                 return exec.run(image.functions[i], full_callees,
-                                arg0_is_object, bodies[i]);
+                                arg0_is_object, body_of(i));
             });
     });
+    bodies.clear();
     for (std::size_t i = 0; i < num_functions; ++i) {
         FunctionAnalysis& fa = phase_b[i];
         result.total_paths += fa.paths;
         for (auto& [type, tracelets] : fa.tracelets) {
             auto& out = result.type_tracelets[type];
-            out.insert(out.end(), tracelets.begin(), tracelets.end());
+            out.insert(out.end(), std::make_move_iterator(tracelets.begin()),
+                       std::make_move_iterator(tracelets.end()));
         }
         for (auto& ev : fa.evidence)
             result.evidence.push_back(std::move(ev));

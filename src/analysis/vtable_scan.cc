@@ -1,8 +1,6 @@
 #include "analysis/vtable_scan.h"
 
 #include <algorithm>
-#include <array>
-#include <set>
 
 #include "bir/isa.h"
 
@@ -11,50 +9,51 @@ namespace rock::analysis {
 using bir::Instr;
 using bir::Op;
 
-std::vector<VTableInfo>
-scan_vtables(const bir::BinaryImage& image)
+VtableCandidates::VtableCandidates(const bir::BinaryImage& image)
+    : image_(image)
 {
-    // Step 1: collect data-section addresses that some function both
-    // materializes (MovImm) and stores through a pointer. A linear,
-    // flow-insensitive pass per function is sufficient and
-    // conservative: it may propose false candidates, which step 2
-    // filters.
-    std::set<std::uint32_t> candidates;
-    for (const auto& fn : image.functions) {
-        std::array<std::uint32_t, bir::kNumRegs> reg_const{};
-        std::array<bool, bir::kNumRegs> reg_is_data{};
-        reg_is_data.fill(false);
-        for (const auto& instr : image.decode_function(fn)) {
-            switch (instr.op) {
-              case Op::MovImm:
-                reg_is_data[instr.a] = image.in_data(instr.imm);
-                reg_const[instr.a] = instr.imm;
-                break;
-              case Op::MovReg:
-                reg_is_data[instr.a] = reg_is_data[instr.b];
-                reg_const[instr.a] = reg_const[instr.b];
-                break;
-              case Op::Store:
-                if (reg_is_data[instr.b])
-                    candidates.insert(reg_const[instr.b]);
-                break;
-              case Op::Load:
-              case Op::GetArg:
-              case Op::GetRet:
-              case Op::AddImm:
-                // Register is clobbered with a non-constant.
-                reg_is_data[instr.a] = false;
-                break;
-              default:
-                break;
-            }
-        }
-    }
+}
 
-    // Step 2: keep candidates whose words form a run of function
-    // entry points. The run stops at the first word that is not a
-    // function start -- in practice the next vtable's RTTI
-    // back-pointer (zero when stripped) or unrelated data.
+void
+VtableCandidates::add(const Instr& instr)
+{
+    switch (instr.op) {
+      case Op::MovImm:
+        reg_is_data_[instr.a] = image_.in_data(instr.imm);
+        reg_const_[instr.a] = instr.imm;
+        break;
+      case Op::MovReg:
+        reg_is_data_[instr.a] = reg_is_data_[instr.b];
+        reg_const_[instr.a] = reg_const_[instr.b];
+        break;
+      case Op::Store:
+        if (reg_is_data_[instr.b])
+            addrs_.push_back(reg_const_[instr.b]);
+        break;
+      case Op::Load:
+      case Op::GetArg:
+      case Op::GetRet:
+      case Op::AddImm:
+        // Register is clobbered with a non-constant.
+        reg_is_data_[instr.a] = false;
+        break;
+      default:
+        break;
+    }
+}
+
+std::vector<VTableInfo>
+vtables_at(const bir::BinaryImage& image,
+           std::vector<std::uint32_t> candidates)
+{
+    // Keep candidates whose words form a run of function entry
+    // points. The run stops at the first word that is not a function
+    // start -- in practice the next vtable's RTTI back-pointer (zero
+    // when stripped) or unrelated data. Candidates are visited in
+    // ascending address order, so the tables come out sorted.
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
     std::vector<VTableInfo> tables;
     for (std::uint32_t addr : candidates) {
         VTableInfo info;
@@ -70,11 +69,21 @@ scan_vtables(const bir::BinaryImage& image)
         if (!info.slots.empty())
             tables.push_back(std::move(info));
     }
-    std::sort(tables.begin(), tables.end(),
-              [](const VTableInfo& x, const VTableInfo& y) {
-                  return x.addr < y.addr;
-              });
     return tables;
+}
+
+std::vector<VTableInfo>
+scan_vtables(const bir::BinaryImage& image)
+{
+    std::vector<std::uint32_t> candidates;
+    for (const auto& fn : image.functions) {
+        VtableCandidates scan(image);
+        for (const auto& instr : image.decode_function(fn))
+            scan.add(instr);
+        candidates.insert(candidates.end(), scan.addrs().begin(),
+                          scan.addrs().end());
+    }
+    return vtables_at(image, std::move(candidates));
 }
 
 } // namespace rock::analysis

@@ -11,10 +11,12 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "bir/image.h"
+#include "bir/isa.h"
 
 namespace rock::analysis {
 
@@ -29,7 +31,42 @@ struct VTableInfo {
 };
 
 /**
- * Scan @p image for vtables.
+ * Step 1 of the scan for one function body: fed the body's decoded
+ * instructions in order, it collects the data-section addresses the
+ * body both materializes (MovImm) and stores through a pointer. A
+ * linear, flow-insensitive pass: conservative, it may propose false
+ * candidates, which vtables_at() filters.
+ */
+class VtableCandidates {
+  public:
+    explicit VtableCandidates(const bir::BinaryImage& image);
+
+    /** Feed the body's next instruction. */
+    void add(const bir::Instr& instr);
+
+    /** The candidates so far, in body order (repeats possible). */
+    std::vector<std::uint32_t>& addrs() { return addrs_; }
+
+  private:
+    const bir::BinaryImage& image_;
+    std::array<std::uint32_t, bir::kNumRegs> reg_const_{};
+    std::array<bool, bir::kNumRegs> reg_is_data_{};
+    std::vector<std::uint32_t> addrs_;
+};
+
+/**
+ * Step 2: the vtables among @p candidates (any order, repeats
+ * allowed): those whose words form a run of function entry points.
+ *
+ * @return discovered tables sorted by address.
+ */
+std::vector<VTableInfo> vtables_at(const bir::BinaryImage& image,
+                                   std::vector<std::uint32_t> candidates);
+
+/**
+ * Scan @p image for vtables: both steps over every function, each
+ * body decoded here (analyze() runs step 1 on its cached CFGs
+ * instead).
  *
  * @return discovered tables sorted by address.
  */

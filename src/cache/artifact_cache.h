@@ -63,7 +63,7 @@ namespace rock::cache {
 /** Bump whenever any artifact encoding changes shape, or an entry's
  *  payload or counter trailer changes for the same key; every key's
  *  fingerprint folds this in, so old entries become misses. */
-constexpr std::uint32_t kSchemaVersion = 3;
+constexpr std::uint32_t kSchemaVersion = 4;
 
 /** FNV-1a offset basis (the seed of every content hash here). */
 constexpr std::uint64_t kFnvSeed = 14695981039346656037ull;

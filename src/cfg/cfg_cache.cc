@@ -100,18 +100,13 @@ CfgCache::content_hash(std::size_t index) const
 std::vector<bir::Instr>
 CfgCache::body(std::size_t index) const
 {
-    ROCK_ASSERT(built_, "CfgCache::body before build_all");
-    const Cfg& cfg = cfgs_[index];
-    if (cfg.well_formed()) {
-        std::vector<bir::Instr> out;
-        out.reserve(cfg.slots.size());
-        for (const Slot& slot : cfg.slots)
-            out.push_back(*slot.instr);
-        return out;
-    }
-    // Corrupt body: defer to the decoder so its fatal diagnostics
+    std::vector<bir::Instr> out;
+    out.reserve(cfgs_[index].slots.size());
+    // A corrupt body defers to the decoder, so its fatal diagnostics
     // stay the single source of truth.
-    return image_.decode_function(image_.functions[index]);
+    for_each_instr(index,
+                   [&](const bir::Instr& instr) { out.push_back(instr); });
+    return out;
 }
 
 std::uint64_t

@@ -29,6 +29,7 @@
 
 #include "bir/image.h"
 #include "cfg/cfg.h"
+#include "support/error.h"
 #include "support/parallel.h"
 
 namespace rock::cfg {
@@ -66,6 +67,26 @@ class CfgCache {
      * fatal-error contract on corrupt bodies.
      */
     std::vector<bir::Instr> body(std::size_t index) const;
+
+    /**
+     * Call @p visit on each instruction of body(@p index) in order,
+     * reading a well-formed CFG's slots in place (no copy), with
+     * body()'s fallback otherwise.
+     */
+    template <class Visit>
+    void for_each_instr(std::size_t index, Visit&& visit) const
+    {
+        ROCK_ASSERT(built_, "CfgCache::for_each_instr before build_all");
+        const Cfg& cfg = cfgs_[index];
+        if (cfg.well_formed()) {
+            for (const Slot& slot : cfg.slots)
+                visit(*slot.instr);
+            return;
+        }
+        for (const bir::Instr& instr :
+             image_.decode_function(image_.functions[index]))
+            visit(instr);
+    }
 
     /**
      * Per-function instruction-slot counts -- the natural cost vector

@@ -187,16 +187,26 @@ WordTable::fill_row(std::size_t slot, const slm::LanguageModel& model)
         std::sort(row.begin(), row.end());
     }
 
-    static obs::Counter& queries =
-        obs::Registry::global().counter("divergence.model_queries");
-    queries.add(row.size());
+    // The row's words in id order, scored in one prefix walk.
+    // Lexicographic ids put words with a shared prefix side by side;
+    // Exhaustive's length-major ids share less, but every entry keeps
+    // its bits either way.
+    std::vector<const std::vector<int>*> words;
+    words.reserve(row.size());
+    for (int id : row)
+        words.push_back(&vocab_[static_cast<std::size_t>(id)]);
     std::vector<double>& probs = row_probs_[slot];
-    probs.reserve(row.size());
-    for (int id : row) {
-        double p = model.sequence_prob(vocab_[static_cast<std::size_t>(id)]);
+    probs.resize(row.size());
+    const std::uint64_t steps = model.sequence_probs(words, probs.data());
+    for (double p : probs)
         ROCK_ASSERT(p > 0.0, "non-positive word probability");
-        probs.push_back(p);
-    }
+
+    obs::Registry& reg = obs::Registry::global();
+    static obs::Counter& queries = reg.counter("divergence.model_queries");
+    static obs::Counter& symbol_queries =
+        reg.counter("divergence.symbol_queries");
+    queries.add(row.size());
+    symbol_queries.add(steps);
 }
 
 void

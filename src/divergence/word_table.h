@@ -20,15 +20,18 @@
  *     Exhaustive vocabulary is the one shared word list, kept in its
  *     length-major order.
  *  3. fill_row(slot, model) per endpoint type: sequence_prob of every
- *     word any of its edges integrates over, each exactly once.
+ *     word any of its edges integrates over, each exactly once, in
+ *     one prefix walk over the row's ascending ids (a word queries
+ *     only the symbols after the prefix it shares with the previous
+ *     one).
  *  4. distances(kind, range) per run of edges: gather both rows in
  *     each edge's word order, then the shared score_words() kernel.
  *
  * Calls of one step for distinct slots (edge ranges) touch disjoint
  * state, so they may run on different threads; each step must finish
- * before the next starts. sequence_prob() is pure, so every weight
- * has the exact bits of pair_distance() over build_word_set()'s
- * words.
+ * before the next starts. sequence_prob() is pure and the prefix
+ * walk keeps its bits, so every weight has the exact bits of
+ * pair_distance() over build_word_set()'s words.
  */
 #pragma once
 
@@ -75,9 +78,25 @@ class WordTable {
     /** Step 2: intern every collected word (frees the word copies). */
     void intern();
 
-    /** Step 3: slot @p slot's row under its model @p model. Counts
-     *  `divergence.model_queries`, one per word of the row. */
+    /** Step 3: slot @p slot's row under its model @p model, in one
+     *  LanguageModel::sequence_probs() prefix walk. Counts
+     *  `divergence.model_queries`, one per word of the row, and
+     *  `divergence.symbol_queries`, the symbol queries the walk made. */
     void fill_row(std::size_t slot, const slm::LanguageModel& model);
+
+    /** The interned words, by id (after intern()). */
+    const WordSet& vocab() const { return vocab_; }
+
+    /** Slot @p slot's row (after fill_row()): the ascending word ids
+     *  it covers, and their probabilities under its model. */
+    std::span<const int> row_ids(std::size_t slot) const
+    {
+        return row_ids_[slot];
+    }
+    std::span<const double> row_probs(std::size_t slot) const
+    {
+        return row_probs_[slot];
+    }
 
     /**
      * Step 4: the weights of edges [@p begin, @p end) under @p kind,

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,7 +53,7 @@ class ContextTrie {
      * found, from shallowest (root) to deepest. Model queries pass one
      * reused per-thread buffer, so a query allocates nothing.
      */
-    void context_chain(const std::vector<int>& context,
+    void context_chain(std::span<const int> context,
                        std::vector<NodeId>& chain) const;
 
     int depth() const { return depth_; }

@@ -101,7 +101,8 @@ KatzModel::prob_at(const std::vector<ContextTrie::NodeId>& chain,
 }
 
 double
-KatzModel::prob(int symbol, const std::vector<int>& context) const
+KatzModel::query(int symbol, std::span<const int> context,
+                  std::uint64_t& /*escapes*/) const
 {
     ROCK_ASSERT(symbol >= 0 && symbol < alphabet_size_,
                 "symbol outside alphabet");

@@ -29,8 +29,6 @@ class KatzModel final : public LanguageModel {
           threshold_(threshold) {}
 
     void train(const std::vector<int>& seq) override;
-    double prob(int symbol,
-                const std::vector<int>& context) const override;
     /** Precompute Good-Turing count-of-counts (idempotent). */
     void finalize() override;
     int alphabet_size() const override { return alphabet_size_; }
@@ -40,6 +38,10 @@ class KatzModel final : public LanguageModel {
     /** Replace the trained trie (snapshot restore). The depth must
      *  match the constructed depth; the caller re-finalizes. */
     void adopt_trie(ContextTrie trie);
+
+  protected:
+    double query(int symbol, std::span<const int> context,
+                 std::uint64_t& escapes) const override;
 
   private:
     /** Discount factor d_r for a raw count @p r at @p order. */

@@ -1,5 +1,6 @@
 #include "slm/model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -10,18 +11,42 @@
 
 namespace rock::slm {
 
+namespace {
+
+/** Add a call's escape tally to `slm.escapes` (docs/OBSERVABILITY.md).
+ *  A call that took no escape leaves the counter untouched. */
+void
+add_escapes(std::uint64_t n)
+{
+    if (n == 0)
+        return;
+    static obs::Counter& escapes =
+        obs::Registry::global().counter("slm.escapes");
+    escapes.add(n);
+}
+
+} // namespace
+
+double
+LanguageModel::prob(int symbol, const std::vector<int>& context) const
+{
+    std::uint64_t escapes = 0;
+    double p = query(symbol, context, escapes);
+    add_escapes(escapes);
+    return p;
+}
+
 double
 LanguageModel::sequence_log_prob(const std::vector<int>& seq) const
 {
+    std::uint64_t escapes = 0;
     double log_p = 0.0;
-    std::vector<int> context;
-    context.reserve(seq.size());
-    for (int symbol : seq) {
-        double p = prob(symbol, context);
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        double p = query(seq[i], std::span(seq).first(i), escapes);
         ROCK_ASSERT(p > 0.0, "model returned non-positive probability");
         log_p += std::log(p);
-        context.push_back(symbol);
     }
+    add_escapes(escapes);
     return log_p;
 }
 
@@ -29,6 +54,41 @@ double
 LanguageModel::sequence_prob(const std::vector<int>& seq) const
 {
     return std::exp(sequence_log_prob(seq));
+}
+
+std::uint64_t
+LanguageModel::sequence_probs(std::span<const std::vector<int>* const> words,
+                              double* out) const
+{
+    // partial[k]: log-probability of the first k symbols of the
+    // previous word, summed left to right.
+    thread_local std::vector<double> partial;
+    partial.assign(1, 0.0);
+    const std::vector<int>* prev = nullptr;
+    std::uint64_t queries = 0;
+    std::uint64_t escapes = 0;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        const std::vector<int>& word = *words[w];
+        std::size_t shared = 0;
+        if (prev != nullptr) {
+            const std::size_t limit = std::min(word.size(), prev->size());
+            while (shared < limit && word[shared] == (*prev)[shared])
+                ++shared;
+        }
+        partial.resize(shared + 1);
+        double log_p = partial[shared];
+        for (std::size_t i = shared; i < word.size(); ++i) {
+            double p = query(word[i], std::span(word).first(i), escapes);
+            ROCK_ASSERT(p > 0.0, "model returned non-positive probability");
+            log_p += std::log(p);
+            partial.push_back(log_p);
+        }
+        queries += word.size() - shared;
+        out[w] = std::exp(log_p);
+        prev = &word;
+    }
+    add_escapes(escapes);
+    return queries;
 }
 
 std::unique_ptr<LanguageModel>

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,15 @@ struct ModelConfig {
     int katz_threshold = 5;
 };
 
-/** Common interface of all trained sequence models. */
+/**
+ * Common interface of all trained sequence models.
+ *
+ * Every query runs through the family's query(), which also reports
+ * the PPM escapes it takes. The public entry points tally those
+ * escapes locally and add them to the shared `slm.escapes` counter
+ * once per call, so a hot loop (a whole word, a whole row) never
+ * touches a shared counter per symbol.
+ */
 class LanguageModel {
   public:
     virtual ~LanguageModel() = default;
@@ -61,8 +70,7 @@ class LanguageModel {
      * Conditional probability P(symbol | context). The model uses at
      * most its configured depth of trailing context. Always positive.
      */
-    virtual double prob(int symbol,
-                        const std::vector<int>& context) const = 0;
+    double prob(int symbol, const std::vector<int>& context) const;
 
     /**
      * Freeze the model after training: precompute whatever the
@@ -76,11 +84,33 @@ class LanguageModel {
     /** Alphabet size the model was constructed for. */
     virtual int alphabet_size() const = 0;
 
-    /** Natural log-probability of a whole sequence. */
+    /** Natural log-probability of a whole sequence: the left-to-right
+     *  sum of log prob() over its symbols. */
     double sequence_log_prob(const std::vector<int>& seq) const;
 
     /** Probability of a whole sequence. */
     double sequence_prob(const std::vector<int>& seq) const;
+
+    /**
+     * sequence_prob() of every word of @p words, into @p out[0 ..
+     * words.size()), bit for bit, in one prefix walk: each word
+     * resumes the running log-probability sum at the prefix it shares
+     * with the previous word and queries only the symbols after it.
+     * The sum is formed in sequence_log_prob()'s order, so sharing a
+     * prefix never changes a bit; sorted words share the most.
+     * Returns the number of symbol queries made.
+     */
+    std::uint64_t sequence_probs(std::span<const std::vector<int>* const> words,
+                                 double* out) const;
+
+  protected:
+    /**
+     * The family's P(symbol | @p context); adds each escape the query
+     * takes (a PPM back-off step) to @p escapes. Pure once the model
+     * is finalized.
+     */
+    virtual double query(int symbol, std::span<const int> context,
+                         std::uint64_t& escapes) const = 0;
 };
 
 /** Construct an untrained model of the configured family. */

@@ -23,7 +23,8 @@ NGramModel::adopt_trie(ContextTrie trie)
 }
 
 double
-NGramModel::prob(int symbol, const std::vector<int>& context) const
+NGramModel::query(int symbol, std::span<const int> context,
+                  std::uint64_t& /*escapes*/) const
 {
     ROCK_ASSERT(symbol >= 0 && symbol < alphabet_size_,
                 "symbol outside alphabet");

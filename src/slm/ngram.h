@@ -19,8 +19,6 @@ class NGramModel final : public LanguageModel {
         : trie_(depth), alphabet_size_(alphabet_size), alpha_(alpha) {}
 
     void train(const std::vector<int>& seq) override;
-    double prob(int symbol,
-                const std::vector<int>& context) const override;
     int alphabet_size() const override { return alphabet_size_; }
 
     const ContextTrie& trie() const { return trie_; }
@@ -28,6 +26,10 @@ class NGramModel final : public LanguageModel {
     /** Replace the trained trie (snapshot restore). The depth must
      *  match the constructed depth. */
     void adopt_trie(ContextTrie trie);
+
+  protected:
+    double query(int symbol, std::span<const int> context,
+                 std::uint64_t& escapes) const override;
 
   private:
     ContextTrie trie_;

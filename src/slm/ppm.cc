@@ -3,25 +3,9 @@
 #include <algorithm>
 #include <set>
 
-#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace rock::slm {
-
-namespace {
-
-/** Escape-taken telemetry (docs/OBSERVABILITY.md: slm.escapes). The
- *  escape count is a pure function of (model, query) so the total
- *  stays deterministic across thread counts. */
-void
-count_escape()
-{
-    static obs::Counter& escapes =
-        obs::Registry::global().counter("slm.escapes");
-    escapes.add();
-}
-
-} // namespace
 
 void
 PpmModel::adopt_trie(ContextTrie trie)
@@ -102,12 +86,13 @@ PpmModel::finalize()
 }
 
 double
-PpmModel::prob(int symbol, const std::vector<int>& context) const
+PpmModel::query(int symbol, std::span<const int> context,
+                std::uint64_t& escapes) const
 {
     ROCK_ASSERT(symbol >= 0 && symbol < alphabet_size_,
                 "symbol outside alphabet");
     if (!finalized_ || exclusion_)
-        return general_prob(symbol, context);
+        return general_prob(symbol, context, escapes);
 
     // Fast path: precomputed per-context probability vectors. Walk
     // from the deepest matched context toward the root, multiplying
@@ -130,15 +115,15 @@ PpmModel::prob(int symbol, const std::vector<int>& context) const
                 static_cast<std::size_t>(found - entries.begin());
             return escape_acc * prob_vals_[slot];
         }
-        count_escape();
+        ++escapes;
         escape_acc *= escape_p_[static_cast<std::size_t>(node)];
     }
     return escape_acc / static_cast<double>(alphabet_size_);
 }
 
 double
-PpmModel::general_prob(int symbol,
-                       const std::vector<int>& context) const
+PpmModel::general_prob(int symbol, std::span<const int> context,
+                       std::uint64_t& escapes) const
 {
     thread_local std::vector<ContextTrie::NodeId> chain;
     trie_.context_chain(context, chain);
@@ -206,7 +191,7 @@ PpmModel::general_prob(int symbol,
         }
         if (usable)
             return escape_acc * sym_p;
-        count_escape();
+        ++escapes;
         escape_acc *= esc_p;
         if (exclusion_) {
             for (const auto& [seen, seen_count] : trie_.counts(node)) {

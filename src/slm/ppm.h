@@ -44,8 +44,6 @@ class PpmModel final : public LanguageModel {
           exclusion_(exclusion), escape_(escape) {}
 
     void train(const std::vector<int>& seq) override;
-    double prob(int symbol,
-                const std::vector<int>& context) const override;
     /** Build the per-context probability vectors (idempotent). */
     void finalize() override;
     int alphabet_size() const override { return alphabet_size_; }
@@ -56,14 +54,18 @@ class PpmModel final : public LanguageModel {
      *  match the constructed depth; the caller re-finalizes. */
     void adopt_trie(ContextTrie trie);
 
+  protected:
+    double query(int symbol, std::span<const int> context,
+                 std::uint64_t& escapes) const override;
+
   private:
     /**
      * The general evaluator: handles exclusion and un-finalized
      * models. Identical arithmetic to the fast path (and to the
      * original pointer implementation).
      */
-    double general_prob(int symbol,
-                        const std::vector<int>& context) const;
+    double general_prob(int symbol, std::span<const int> context,
+                        std::uint64_t& escapes) const;
 
     ContextTrie trie_;
     int alphabet_size_;

@@ -480,6 +480,9 @@ TEST(Analyze, ParallelMatchesSerial)
     AnalysisResult b = analyze(compiled.image, parallel);
 
     EXPECT_EQ(a.vtables, b.vtables);
+    // analyze() scans the cached CFG slots in place; scan_vtables()
+    // decodes every body itself. Both must find the same tables.
+    EXPECT_EQ(a.vtables, scan_vtables(compiled.image));
     EXPECT_EQ(a.ctor_types, b.ctor_types);
     EXPECT_EQ(a.total_paths, b.total_paths);
     ASSERT_EQ(a.type_tracelets.size(), b.type_tracelets.size());

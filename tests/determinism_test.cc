@@ -12,6 +12,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <thread>
 
 #include "cache/artifact_cache.h"
@@ -197,10 +198,11 @@ TEST(Determinism, MetricsCountersBitIdenticalAcrossThreadCounts)
 TEST(Determinism, ModelQueryCountersMatchAcrossThreadsAndWarmRuns)
 {
     // The distance stage scores each (type, word) once, in row tasks
-    // that run wherever the pool puts them: divergence.model_queries
-    // and the slm.escapes those queries take must still be pure
-    // functions of the input, and a warm run (weights served by the
-    // artifact cache) must replay both from the family's blob.
+    // that run wherever the pool puts them: divergence.model_queries,
+    // the symbol queries of the rows' prefix walks and the slm.escapes
+    // those queries take must still be pure functions of the input,
+    // and a warm run (weights served by the artifact cache) must
+    // replay all three from the family's blob.
     corpus::GeneratorSpec spec;
     spec.num_classes = 24;
     spec.num_trees = 2;
@@ -211,7 +213,7 @@ TEST(Determinism, ModelQueryCountersMatchAcrossThreadsAndWarmRuns)
     toyc::CompileResult compiled =
         toyc::compile(corpus::generate_program(spec));
 
-    using Counts = std::pair<std::uint64_t, std::uint64_t>;
+    using Counts = std::array<std::uint64_t, 3>;
     auto counts_with =
         [&](int threads, std::shared_ptr<cache::ArtifactCache> store) {
             obs::Registry::global().reset();
@@ -221,11 +223,14 @@ TEST(Determinism, ModelQueryCountersMatchAcrossThreadsAndWarmRuns)
             reconstruct(compiled.image, config);
             auto values = obs::Registry::global().counter_values();
             return Counts{values["divergence.model_queries"],
+                          values["divergence.symbol_queries"],
                           values["slm.escapes"]};
         };
     const Counts serial = counts_with(1, nullptr);
-    EXPECT_GT(serial.first, 0u);
-    EXPECT_GT(serial.second, 0u);
+    for (std::uint64_t count : serial)
+        EXPECT_GT(count, 0u);
+    // Each distinct word of a sorted row queries at least one symbol.
+    EXPECT_GE(serial[1], serial[0]);
     for (int threads : {2, 4, 8}) {
         SCOPED_TRACE(threads);
         EXPECT_EQ(counts_with(threads, nullptr), serial);

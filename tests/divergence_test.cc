@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 
 #include "support/error.h"
 #include "divergence/metrics.h"
@@ -231,7 +232,7 @@ struct EdgeFixture {
  * are both candidates.
  */
 EdgeFixture
-make_edge_fixture(std::uint64_t seed, ModelKind kind)
+make_edge_fixture(std::uint64_t seed, ModelKind kind, bool exclusion = false)
 {
     rock::support::Rng rng(seed);
     EdgeFixture fx;
@@ -248,6 +249,7 @@ make_edge_fixture(std::uint64_t seed, ModelKind kind)
     fx.seqs[6] = {{4, 0, 4}, {1, 4}, {4}};
     ModelConfig config;
     config.kind = kind;
+    config.exclusion = exclusion;
     for (const auto& seqs : fx.seqs)
         fx.models.push_back(train_model(config, EdgeFixture::kAlphabet, seqs));
     fx.edges = {{0, 1}, {2, 1}, {3, 1}, {1, 3}, {0, 2}, {6, 2},
@@ -327,6 +329,72 @@ TEST(WordTable, GatheredWeightsEqualPairDistanceBitForBit)
                         EXPECT_EQ(weights[e], expected);
                     }
                 }
+            }
+        }
+    }
+}
+
+TEST(WordTable, RowEntriesEqualSequenceProbBitForBit)
+{
+    // fill_row() scores a row in one prefix walk: every entry must keep
+    // the bits of sequence_prob() of its word alone, and
+    // divergence.symbol_queries counts only the symbols after each
+    // word's prefix shared with the previous word of its row.
+    struct Model {
+        ModelKind kind;
+        bool exclusion;
+    };
+    rock::obs::Counter& symbol_queries =
+        rock::obs::Registry::global().counter("divergence.symbol_queries");
+    for (const Model model : {Model{ModelKind::PpmC, false},
+                              Model{ModelKind::PpmC, true},
+                              Model{ModelKind::Katz, false},
+                              Model{ModelKind::NGram, false}}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            const EdgeFixture fx =
+                make_edge_fixture(seed, model.kind, model.exclusion);
+            for (WordSetStrategy strategy :
+                 {WordSetStrategy::ObservedUnion, WordSetStrategy::Exhaustive,
+                  WordSetStrategy::Sampled}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "model " << static_cast<int>(model.kind)
+                             << " exclusion " << model.exclusion << " seed "
+                             << seed << " strategy "
+                             << static_cast<int>(strategy));
+                const WordSetConfig config = strategy_config(strategy);
+                const std::uint64_t before = symbol_queries.value();
+                const WordTable table = filled_table(config, fx);
+                const WordSet& vocab = table.vocab();
+                // Exhaustive rows walk its length-major list ({4} before
+                // {0, 0}), not lexicographic order.
+                EXPECT_EQ(std::is_sorted(vocab.begin(), vocab.end()),
+                          strategy != WordSetStrategy::Exhaustive);
+                std::uint64_t steps = 0;
+                for (std::size_t s = 0; s < table.types().size(); ++s) {
+                    const LanguageModel& lm = *fx.models[static_cast<std::size_t>(
+                        table.types()[s])];
+                    const std::span<const int> ids = table.row_ids(s);
+                    const std::span<const double> probs = table.row_probs(s);
+                    ASSERT_EQ(ids.size(), probs.size());
+                    if (strategy == WordSetStrategy::Exhaustive) {
+                        EXPECT_EQ(ids.size(), vocab.size());
+                    }
+                    const std::vector<int>* prev = nullptr;
+                    for (std::size_t i = 0; i < ids.size(); ++i) {
+                        const std::vector<int>& word =
+                            vocab[static_cast<std::size_t>(ids[i])];
+                        EXPECT_EQ(probs[i], lm.sequence_prob(word))
+                            << "slot " << s << " word " << ids[i];
+                        std::size_t shared = 0;
+                        while (prev && shared < word.size() &&
+                               shared < prev->size() &&
+                               word[shared] == (*prev)[shared])
+                            ++shared;
+                        steps += word.size() - shared;
+                        prev = &word;
+                    }
+                }
+                EXPECT_EQ(symbol_queries.value() - before, steps);
             }
         }
     }

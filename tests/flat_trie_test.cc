@@ -28,6 +28,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <span>
 #include <memory>
 #include <set>
 #include <vector>
@@ -79,7 +80,7 @@ struct RefTrie {
         }
     }
 
-    void context_chain(const std::vector<int>& context,
+    void context_chain(std::span<const int> context,
                        std::vector<const Node*>& chain) const
     {
         chain.push_back(&root);
@@ -139,8 +140,8 @@ class RefPpm final : public rock::slm::LanguageModel {
 
     int alphabet_size() const override { return alphabet_size_; }
 
-    double prob(int symbol,
-                const std::vector<int>& context) const override
+    double query(int symbol, std::span<const int> context,
+                 std::uint64_t& /*escapes*/) const override
     {
         std::vector<const RefTrie::Node*> chain;
         trie_.context_chain(context, chain);
@@ -235,8 +236,8 @@ class RefKatz final : public rock::slm::LanguageModel {
 
     int alphabet_size() const override { return alphabet_size_; }
 
-    double prob(int symbol,
-                const std::vector<int>& context) const override
+    double query(int symbol, std::span<const int> context,
+                 std::uint64_t& /*escapes*/) const override
     {
         if (!coc_valid_) {
             coc_ = trie_.count_of_counts();

@@ -11,6 +11,7 @@
 #include "rock/pipeline.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/str.h"
 
 namespace {
 
@@ -138,6 +139,39 @@ TEST(Robustness, SelfCallingFunctionTerminates)
     analysis::SymExecConfig config;
     config.max_steps = 100;
     EXPECT_NO_THROW(analysis::analyze(image, config));
+}
+
+TEST(Robustness, UndecodableBodyFailsOnFirstBadFunction)
+{
+    // Functions 1 and 2 start with an invalid opcode byte. analyze()
+    // scans bodies in parallel, but the decode fallback runs in
+    // function order, so the error names function 1 for any thread
+    // count.
+    ImageBuilder ib;
+    for (const char* name : {"f0", "f1", "f2"}) {
+        FuncId f = ib.declare_function(name);
+        FunctionBuilder fb;
+        fb.nop();
+        fb.ret();
+        ib.define_function(f, std::move(fb));
+    }
+    BinaryImage image = ib.link({});
+    for (std::size_t i : {1, 2})
+        image.code[image.functions[i].addr - image.code_base] = 0xff;
+    const std::string first_bad = support::hex(image.functions[1].addr);
+    for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(threads);
+        analysis::SymExecConfig config;
+        config.threads = threads;
+        try {
+            analysis::analyze(image, config);
+            ADD_FAILURE() << "analyze accepted an undecodable body";
+        } catch (const support::FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(first_bad),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Robustness, HugeArgumentIndicesIgnored)

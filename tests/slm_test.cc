@@ -36,12 +36,12 @@ TEST(ContextTrie, CountsDeeperOrders)
     trie.add_sequence({0, 1, 0, 1});
     // Context "0": successors {1:2}.
     std::vector<ContextTrie::NodeId> chain;
-    trie.context_chain({0}, chain);
+    trie.context_chain(std::vector<int>{0}, chain);
     ASSERT_EQ(chain.size(), 2u);
     EXPECT_EQ(trie.count_of(chain[1], 1), 2);
     // Context "0 1" (most recent last): successor {0:1}.
     chain.clear();
-    trie.context_chain({0, 1}, chain);
+    trie.context_chain(std::vector<int>{0, 1}, chain);
     ASSERT_EQ(chain.size(), 3u);
     EXPECT_EQ(trie.count_of(chain[2], 0), 1);
 }
@@ -51,7 +51,7 @@ TEST(ContextTrie, ChainTruncatesAtDepth)
     ContextTrie trie(1);
     trie.add_sequence({0, 1, 2});
     std::vector<ContextTrie::NodeId> chain;
-    trie.context_chain({0, 1}, chain);
+    trie.context_chain(std::vector<int>{0, 1}, chain);
     EXPECT_LE(chain.size(), 2u); // root + at most depth 1
 }
 
@@ -139,6 +139,26 @@ TEST(Ppm, SequenceProbIsChainProduct)
     EXPECT_NEAR(model.sequence_prob({0, 1, 2}), manual, 1e-12);
     EXPECT_NEAR(model.sequence_log_prob({0, 1, 2}), std::log(manual),
                 1e-12);
+}
+
+TEST(Ppm, SequenceProbsResumeSharedPrefixesBitForBit)
+{
+    PpmModel model(4, 2, false);
+    model.train({0, 1, 2, 3});
+    model.train({0, 1, 1});
+    model.finalize();
+    // Unsorted on purpose, with an empty word and a repeat: each word
+    // resumes at the prefix it shares with the previous one.
+    const std::vector<std::vector<int>> words{
+        {0, 1, 2}, {0, 1, 2, 3}, {0, 1, 3}, {}, {3, 3}, {3, 3}, {0}};
+    std::vector<const std::vector<int>*> list;
+    for (const auto& word : words)
+        list.push_back(&word);
+    std::vector<double> probs(words.size());
+    EXPECT_EQ(model.sequence_probs(list, probs.data()),
+              3u + 1u + 1u + 0u + 2u + 0u + 1u);
+    for (std::size_t i = 0; i < words.size(); ++i)
+        EXPECT_EQ(probs[i], model.sequence_prob(words[i])) << "word " << i;
 }
 
 // ---------------------------------------------------------------------

@@ -23,6 +23,7 @@
 #include "corpus/benchmarks.h"
 #include "corpus/examples.h"
 #include "toyc/compiler.h"
+#include "toyc/parser.h"
 #include "vm/vm.h"
 
 namespace {
@@ -58,12 +59,39 @@ static_sets(const bir::BinaryImage& image, analysis::SymExecConfig cfg)
     return sets;
 }
 
-/** Run every builtin under rockvm with @p config: no traps, and every
- *  dynamic tracelet is in the static set of the same knobs. */
-void
-expect_builtins_clean_and_contained(const VmConfig& config)
+/**
+ * A program whose tracelets depend on both execution caps: useLong
+ * writes 40 distinct fields in one straight line (about 90
+ * instructions, past a 64-step cap), and useLoop writes a field in an
+ * opaque loop, then reads two others. A VM that ran longer frames or
+ * took more backjumps than the static side would witness windows the
+ * static side never extracts.
+ */
+corpus::CorpusProgram
+caps_program()
 {
-    for (const auto& prog : builtin_programs()) {
+    std::string source = "class Box {\n  fields 40;\n  virtual touch {\n"
+                         "    write this.0;\n  }\n}\n"
+                         "fn useLong() {\n  new Box b;\n";
+    for (int field = 0; field < 40; ++field)
+        source += "  write b." + std::to_string(field) + ";\n";
+    source += "}\n"
+              "fn useLoop() {\n  new Box b;\n  loop {\n    write b.0;\n"
+              "  }\n  read b.1;\n  read b.2;\n}\n";
+    corpus::CorpusProgram prog;
+    prog.name = "caps";
+    prog.program = toyc::parse_program(source, prog.name);
+    return prog;
+}
+
+/** Run every program of @p programs under rockvm with @p config: no
+ *  traps, and every dynamic tracelet is in the static set of the same
+ *  knobs. Adds the runs' cap statistics to @p total. */
+void
+expect_clean_and_contained(const std::vector<corpus::CorpusProgram>& programs,
+                           const VmConfig& config, vm::VmStats& total)
+{
+    for (const auto& prog : programs) {
         SCOPED_TRACE(prog.name);
         toyc::CompileResult built =
             toyc::compile(prog.program, prog.options);
@@ -71,6 +99,8 @@ expect_builtins_clean_and_contained(const VmConfig& config)
             analysis::analyze(built.image, config.symexec);
         Interpreter interp(built.image, analysis, config);
         VmResult dynamic = interp.run_image(1);
+        total.frame_step_stops += dynamic.stats.frame_step_stops;
+        total.forced_fallthroughs += dynamic.stats.forced_fallthroughs;
 
         // (a) clean images never trap.
         ASSERT_TRUE(dynamic.traps.empty())
@@ -101,18 +131,25 @@ expect_builtins_clean_and_contained(const VmConfig& config)
 
 TEST(VmDifferential, AllBuiltinsRunCleanAndContained)
 {
-    expect_builtins_clean_and_contained(VmConfig{});
+    vm::VmStats stats;
+    expect_clean_and_contained(builtin_programs(), VmConfig{}, stats);
 }
 
 TEST(VmDifferential, ContainedUnderNonDefaultSymexecKnobs)
 {
     // The VM reads window length, per-frame step cap and backjump cap
-    // from the one SymExecConfig it shares with the static side.
+    // from the one SymExecConfig it shares with the static side. The
+    // builtins never reach either cap; caps_program() reaches both.
     VmConfig config;
     config.symexec.tracelet_len = 3;
     config.symexec.max_steps = 64;
     config.symexec.max_backjumps = 1;
-    expect_builtins_clean_and_contained(config);
+    std::vector<corpus::CorpusProgram> programs = builtin_programs();
+    programs.push_back(caps_program());
+    vm::VmStats stats;
+    expect_clean_and_contained(programs, config, stats);
+    EXPECT_GT(stats.frame_step_stops, 0u);
+    EXPECT_GT(stats.forced_fallthroughs, 0u);
 }
 
 TEST(VmDifferential, DynamicTypedCoverageIsNonTrivial)
